@@ -13,6 +13,7 @@ embedded in every report so a result file alone suffices to rerun it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .model import ModelParams
@@ -96,7 +97,13 @@ def _as_int(value, context: str) -> int:
 def _as_float(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{context} must be a finite number, got {number}")
+    return number
 
 
 def _as_bool(value, context: str) -> bool:
@@ -242,13 +249,27 @@ def parse_config_dict(doc: dict) -> ParsedConfig:
     )
 
 
+def _reject_constant(name: str):
+    # json accepts NaN, Infinity and -Infinity, which are not JSON
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def _unique_object(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str) -> ParsedConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or a hook's rejection
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config_dict(doc)
 

@@ -16,6 +16,7 @@ Stream indices are 1-based everywhere in the public API.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -99,6 +100,14 @@ class SufficientStats:
     def initial(cls, K: int) -> SufficientStats:
         return cls(0, (0.0,) * K)
 
+    @classmethod
+    def _trusted(cls, n: int, sums: tuple[float, ...]) -> SufficientStats:
+        """Build without ``__post_init__``: the caller guarantees n >= 0 and float sums."""
+        stats = object.__new__(cls)
+        object.__setattr__(stats, "n", n)
+        object.__setattr__(stats, "sums", sums)
+        return stats
+
     @property
     def K(self) -> int:
         return len(self.sums)
@@ -137,12 +146,15 @@ def sample_block(params: ModelParams, rng: np.random.Generator, count: int) -> n
 
 
 def update_stats(stats: SufficientStats, obs: ObservationBatch | Iterable[float]) -> SufficientStats:
-    """Fold one observation vector into the cumulative sums."""
+    """Fold one observation vector of real numbers into the cumulative sums.
+
+    The sums are floats and a float plus a real number is a float, so the
+    result skips the public constructor's re-validation.
+    """
     values = obs.values if isinstance(obs, ObservationBatch) else tuple(obs)
-    if len(values) != stats.K:
+    if len(values) != len(stats.sums):
         raise ValueError(f"observation length {len(values)} != K={stats.K}")
-    sums = tuple(s + x for s, x in zip(stats.sums, values))
-    return SufficientStats(stats.n + 1, sums)
+    return SufficientStats._trusted(stats.n + 1, tuple(map(operator.add, stats.sums, values)))
 
 
 def ordered_sums(stats: SufficientStats) -> list[tuple[int, float]]:
@@ -150,9 +162,12 @@ def ordered_sums(stats: SufficientStats) -> list[tuple[int, float]]:
 
     The fixed tie rule makes decisions reproducible under floating-point
     ties, which have probability zero in the model but do occur in tests.
+    Python's sort is stable under ``reverse=True``, so equal sums keep
+    their ascending stream order.
     """
-    order = sorted(range(stats.K), key=lambda i: (-stats.sums[i], i))
-    return [(i + 1, stats.sums[i]) for i in order]
+    sums = stats.sums
+    order = sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
+    return [(i + 1, sums[i]) for i in order]
 
 
 def gap_statistic(stats: SufficientStats, k: int) -> float:

@@ -170,6 +170,17 @@ class ExperimentSpec:
             if isinstance(rule, GiRuleSpec) and self.params.rho > 0.0 and not rule.experimental_correlated:
                 raise ValueError(GI_CORRELATED_UNSUPPORTED)
         calibrated_rule(self)  # surface calibration errors at construction
+        # the asymptote sets the default horizon and the report's ratio;
+        # an extreme mu over- or underflows mu**2 inside it
+        try:
+            asymptote = theoretical_asymptote(self)
+        except ArithmeticError:
+            asymptote = math.nan
+        if not 0.0 < asymptote < math.inf:
+            raise ValueError(
+                f"mu={self.params.mu} is out of range: the theoretical mean sample size "
+                "is not a finite positive number"
+            )
 
     def resolved_horizon_cap(self) -> int:
         if self.horizon_cap is not None:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import ModelParams, SufficientStats, gap_statistic, ordered_sums
+from .model import ModelParams, SufficientStats, ordered_sums
 
 __all__ = [
     "GI_CORRELATED_UNSUPPORTED",
@@ -135,9 +135,12 @@ def gap_rule_step(stats: SufficientStats, cfg: GapRuleConfig) -> StopDecision:
     """Stop when the m-th ordered-sum gap reaches G; reject the top m streams."""
     if stats.n < 1:
         raise ValueError("rule stepping starts at n >= 1")
-    if gap_statistic(stats, cfg.m) >= cfg.G:
-        top = ordered_sums(stats)[: cfg.m]
-        return StopDecision(True, frozenset(i for i, _ in top))
+    ranked = ordered_sums(stats)
+    m = cfg.m
+    if not 1 <= m < len(ranked):
+        raise ValueError(f"gap index must be in 1..{len(ranked) - 1}, got {m}")
+    if ranked[m - 1][1] - ranked[m][1] >= cfg.G:
+        return StopDecision(True, frozenset(i for i, _ in ranked[:m]))
     return CONTINUE
 
 
@@ -214,16 +217,18 @@ def maxgap_rule_step(stats: SufficientStats, cfg: MaxGapRuleConfig) -> StopDecis
     """
     if stats.n < 1:
         raise ValueError("rule stepping starts at n >= 1")
+    ranked = ordered_sums(stats)
+    if cfg.l < 0 or cfg.u > len(ranked):
+        raise ValueError(f"gap indices {cfg.l + 1}..{cfg.u - 1} must be in 1..{len(ranked) - 1}")
     best_i = -1
     best_gap = -math.inf
     for i in range(cfg.l + 1, cfg.u):
-        g = gap_statistic(stats, i)
+        g = ranked[i - 1][1] - ranked[i][1]
         if g > best_gap:
             best_i = i
             best_gap = g
     if best_gap >= cfg.threshold_at(stats.n):
-        top = ordered_sums(stats)[:best_i]
-        return StopDecision(True, frozenset(i for i, _ in top))
+        return StopDecision(True, frozenset(i for i, _ in ranked[:best_i]))
     return CONTINUE
 
 
@@ -282,7 +287,7 @@ def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> StopDecision:
     K = len(llrs)
     if cfg.u + 1 > K:
         raise ValueError(f"rule needs at least {cfg.u + 1} streams, got {K}")
-    order = sorted(range(K), key=lambda i: (-llrs[i], i))
+    order = sorted(range(K), key=llrs.__getitem__, reverse=True)  # stable: ties by stream
     lam = [llrs[i] for i in order]  # descending
     p = sum(1 for x in llrs if x > 0.0)
 

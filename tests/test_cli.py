@@ -142,6 +142,33 @@ def test_load_config_errors(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize(
+    "old, new, fragment",
+    [
+        ('"mu": 1.0', '"mu": Infinity', "non-finite number Infinity"),
+        ('"mu": 1.0', '"mu": -Infinity', "non-finite number -Infinity"),
+        ('"rho": 0.5', '"rho": NaN, "rho": 0.5', "non-finite number NaN"),
+        ('"rho": 0.5', '"rho": 0.1, "rho": 0.5', "duplicate key 'rho'"),
+        ('"m": 2}', '"m": 2, "kind": "gap"}', "duplicate key 'kind'"),
+        ('"mu": 1.0', '"mu": 1e400', "model.mu must be a finite number"),
+        ('"mu": 1.0', '"mu": 1e-300', "mu=1e-300 is out of range"),
+        ('"mu": 1.0', '"mu": 1e200', "mu=1e[+]200 is out of range"),
+    ],
+)
+def test_config_rejects_non_finite_duplicate_and_extreme_values(tmp_path, capsys, old, new, fragment):
+    text = json.dumps(base_config())
+    assert old in text
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ConfigError, match=fragment):
+        load_config(str(path))
+    capsys.readouterr()
+    assert run_cli(["simulate", "--config", path, "--out", tmp_path / "r.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ------------------------------------------------------------ report rows
 
 
