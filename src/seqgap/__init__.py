@@ -8,137 +8,27 @@ gap-intersection baseline for independent streams, and the classical
 two-boundary sequential test they reduce to), their threshold calibrations,
 and a deterministic Monte Carlo harness that estimates the realized error
 rates and mean sample sizes against the theoretical asymptotes.
+
+The package namespace holds what an experiment needs; everything else is
+imported from its submodule (``seqgap.model``, ``seqgap.rules``,
+``seqgap.montecarlo``, ``seqgap.metrics``, ``seqgap.sprt``,
+``seqgap.config``), each of which lists its public names in ``__all__``.
 """
 
 from ._version import __version__
-from .config import ConfigError, load_config, parse_config_dict, resolved_config_dict
-from .metrics import (
-    ConfusionCounts,
-    Estimate,
-    MetricEstimates,
-    TrialContribs,
-    aggregate,
-    confusion,
-    per_trial_contribs,
-)
-from .model import (
-    ModelParams,
-    ObservationBatch,
-    SufficientStats,
-    gap_statistic,
-    llr_star,
-    ordered_sums,
-    sample_block,
-    sample_increment,
-    update_stats,
-    validate_params,
-)
-from .montecarlo import (
-    ExperimentSpec,
-    ExperimentSummary,
-    GENERATOR_ID,
-    GapRuleSpec,
-    GiRuleSpec,
-    MaxGapRuleSpec,
-    SprtBenchmark,
-    SweepPoint,
-    TrialResult,
-    derive_trial_seed,
-    ratio_sweep,
-    rho_sweep,
-    run_experiment,
-    run_experiment_with_trials,
-    run_trial,
-    sprt_benchmark,
-    theoretical_asymptote,
-)
-from .rules import (
-    GapRuleConfig,
-    GIRuleConfig,
-    MaxGapRuleConfig,
-    StopDecision,
-    VARIANT_SQRT2,
-    VARIANT_UNSCALED,
-    calibrate_gap,
-    calibrate_gi,
-    calibrate_maxgap,
-    gap_rule_step,
-    gi_rule_step,
-    kl_numbers,
-    maxgap_rule_step,
-)
-from .sprt import (
-    SprtConfig,
-    SprtDecision,
-    SprtOutcome,
-    SprtTruncated,
-    asn_asymptotic,
-    asn_wald,
-    boundaries,
-    run_sprt,
-    sprt_step,
-)
+from .config import ConfigError, load_config
+from .model import ModelParams
+from .montecarlo import ExperimentSpec, run_experiment
+from .rules import GapRuleSpec, GiRuleSpec, MaxGapRuleSpec
 
 __all__ = [
     "__version__",
     "ConfigError",
-    "ConfusionCounts",
-    "Estimate",
     "ExperimentSpec",
-    "ExperimentSummary",
-    "GENERATOR_ID",
-    "GIRuleConfig",
-    "GapRuleConfig",
     "GapRuleSpec",
     "GiRuleSpec",
-    "MaxGapRuleConfig",
     "MaxGapRuleSpec",
-    "MetricEstimates",
     "ModelParams",
-    "ObservationBatch",
-    "SprtBenchmark",
-    "SprtConfig",
-    "SprtDecision",
-    "SprtOutcome",
-    "SprtTruncated",
-    "StopDecision",
-    "SufficientStats",
-    "SweepPoint",
-    "TrialContribs",
-    "TrialResult",
-    "VARIANT_SQRT2",
-    "VARIANT_UNSCALED",
-    "aggregate",
-    "asn_asymptotic",
-    "asn_wald",
-    "boundaries",
-    "calibrate_gap",
-    "calibrate_gi",
-    "calibrate_maxgap",
-    "confusion",
-    "derive_trial_seed",
-    "gap_rule_step",
-    "gap_statistic",
-    "gi_rule_step",
-    "kl_numbers",
-    "llr_star",
     "load_config",
-    "maxgap_rule_step",
-    "ordered_sums",
-    "parse_config_dict",
-    "per_trial_contribs",
-    "ratio_sweep",
-    "resolved_config_dict",
-    "rho_sweep",
     "run_experiment",
-    "run_experiment_with_trials",
-    "run_sprt",
-    "run_trial",
-    "sample_block",
-    "sample_increment",
-    "sprt_benchmark",
-    "sprt_step",
-    "theoretical_asymptote",
-    "update_stats",
-    "validate_params",
 ]

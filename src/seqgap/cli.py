@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import Sequence, TextIO
@@ -30,16 +32,11 @@ from .montecarlo import (
     ExperimentSpec,
     ExperimentSummary,
     GENERATOR_ID,
-    GapRuleSpec,
-    GiRuleSpec,
-    MaxGapRuleSpec,
     TrialResult,
-    calibrated_rule,
     ratio_sweep,
     rho_sweep,
     run_experiment_with_trials,
 )
-from .rules import MAXGAP_VARIANTS, calibrate_maxgap
 from .sprt import SprtConfig, asn_asymptotic, asn_wald
 
 __all__ = ["SCHEMA", "build_parser", "experiment_id", "main", "summary_row"]
@@ -79,21 +76,21 @@ def experiment_id(spec: ExperimentSpec) -> str:
 
 def summary_row(spec: ExperimentSpec, summary: ExperimentSummary) -> dict:
     """One report row, keyed by SCHEMA; inapplicable fields are None."""
-    rule = spec.rule
+    rule = rule_dict(spec.rule)
     met = summary.metrics
     return {
         "experiment_id": experiment_id(spec),
-        "rule": rule.kind,
-        "variant": rule.variant if isinstance(rule, MaxGapRuleSpec) else None,
+        "rule": rule["kind"],
+        "variant": rule.get("variant"),
         "K": spec.params.K,
-        "m": rule.m if isinstance(rule, GapRuleSpec) else None,
-        "l": rule.l if isinstance(rule, (MaxGapRuleSpec, GiRuleSpec)) else None,
-        "u": rule.u if isinstance(rule, (MaxGapRuleSpec, GiRuleSpec)) else None,
+        "m": rule.get("m"),
+        "l": rule.get("l"),
+        "u": rule.get("u"),
         "rho": spec.params.rho,
         "mu": spec.params.mu,
         "alpha": spec.alpha,
         "beta": spec.beta,
-        "c1_adjust": rule.c1_adjust if isinstance(rule, (GapRuleSpec, MaxGapRuleSpec)) else None,
+        "c1_adjust": rule.get("c1_adjust"),
         "replications": spec.replications,
         "horizon_cap": spec.resolved_horizon_cap(),
         "master_seed": spec.master_seed,
@@ -168,25 +165,60 @@ def write_trial_dump(out: TextIO, spec: ExperimentSpec, trials: Sequence[TrialRe
 
 
 @contextlib.contextmanager
-def _open_out(path: str | None):
-    if path is None:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        yield fh
+def _staged_outputs(*paths: str | None):
+    """Yield one writable file per path, stdout where the path is None.
+
+    Each file is a temporary one in its destination's directory, created
+    before the caller does any work, so an unwritable destination fails
+    before a run rather than after it.  The files are moved into place
+    only after the block completes, and removed if it raises, so a failed
+    command leaves none of its outputs behind.  A destination that exists
+    but is not a regular file (a pipe, or a device such as /dev/stdout)
+    cannot be replaced and is written directly.
+    """
+    staged = []  # (temp path or None, destination, file)
+    try:
+        for i, path in enumerate(paths):
+            if path is None:
+                continue
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if os.path.exists(path) and not os.path.isfile(path):
+                staged.append((None, path, open(path, "w", encoding="utf-8", newline="")))
+                continue
+            dest = os.path.realpath(path)  # replace a symlink's target, not the link
+            head, tail = os.path.split(dest)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
+            try:
+                fh = open(tmp, "x", encoding="utf-8", newline="")
+            except OSError as exc:  # name the destination, not the temp file
+                raise OSError(exc.errno, exc.strerror, path) from exc
+            staged.append((tmp, dest, fh))
+        files = iter(fh for _, _, fh in staged)
+        yield [sys.stdout if path is None else next(files) for path in paths]
+        for _, _, fh in staged:
+            fh.close()
+        for tmp, dest, _ in staged:
+            if tmp is not None:
+                os.replace(tmp, dest)
+    finally:
+        for tmp, _, fh in staged:
+            fh.close()
+            if tmp is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
 
 
-def _emit(parsed: ParsedConfig, rows: Sequence[dict]) -> None:
+def _emit(parsed: ParsedConfig, rows: Sequence[dict], out: TextIO) -> None:
     config_doc = resolved_config_dict(parsed)
     # the destination is not part of the experiment; dropping it keeps
     # reports written to different paths byte-comparable
     config_doc.pop("output", None)
     seed = parsed.spec.master_seed
-    with _open_out(parsed.out_path) as out:
-        if parsed.out_format == "json":
-            write_report_json(out, rows, config_doc, seed)
-        else:
-            write_report_csv(out, rows, config_doc, seed)
+    if parsed.out_format == "json":
+        write_report_json(out, rows, config_doc, seed)
+    else:
+        write_report_csv(out, rows, config_doc, seed)
 
 
 def _apply_overrides(parsed: ParsedConfig, args: argparse.Namespace) -> ParsedConfig:
@@ -211,44 +243,21 @@ def _apply_overrides(parsed: ParsedConfig, args: argparse.Namespace) -> ParsedCo
     return replace(parsed, **updates)
 
 
-def _print_calibration(spec: ExperimentSpec) -> None:
-    rule = spec.rule
-    p = spec.params
-    print(f"rule = {rule.kind}")
-    if isinstance(rule, GapRuleSpec):
-        cfg = calibrated_rule(spec)
-        print(f"c = {_cell(cfg.c)}")
-        print(f"G = {_cell(cfg.G)}")
-        return
-    if isinstance(rule, MaxGapRuleSpec):
-        # show both threshold variants so their scale difference is visible
-        for variant in MAXGAP_VARIANTS:
-            cfg = calibrate_maxgap(
-                rule.l, rule.u, p.K, spec.alpha, spec.beta, p.rho, p.mu,
-                rule.c1_adjust, variant,
-            )
-            print(f"variant {variant}: e(n) = {_cell(cfg.base)} + n * {_cell(cfg.slope)}")
-        return
-    cfg = calibrated_rule(spec)
-    print(f"a = {_cell(cfg.a)}")
-    print(f"b = {_cell(cfg.b)}")
-    print(f"c = {_cell(cfg.c)}")
-    print(f"d = {_cell(cfg.d)}")
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    parsed = _apply_overrides(load_config(args.config), args)
-    _print_calibration(parsed.spec)
+    spec = _apply_overrides(load_config(args.config), args).spec
+    print(f"rule = {spec.rule.kind}")
+    for line in spec.rule.calibration_lines(spec.params, spec.alpha, spec.beta):
+        print(line)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     parsed = _apply_overrides(load_config(args.config), args)
-    summary, trials = run_experiment_with_trials(parsed.spec, workers=args.workers)
-    _emit(parsed, [summary_row(parsed.spec, summary)])
-    if args.trial_dump is not None:
-        with open(args.trial_dump, "w", encoding="utf-8", newline="") as fh:
-            write_trial_dump(fh, parsed.spec, trials)
+    with _staged_outputs(parsed.out_path, args.trial_dump) as (out, dump):
+        summary, trials = run_experiment_with_trials(parsed.spec, workers=args.workers)
+        _emit(parsed, [summary_row(parsed.spec, summary)], out)
+        if args.trial_dump is not None:
+            write_trial_dump(dump, parsed.spec, trials)
     return 0 if summary.reliable else 2
 
 
@@ -257,12 +266,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if parsed.sweep_kind is None:
         raise ConfigError("sweep command requires a sweep section (alpha_grid or rho_grid)")
     assert parsed.sweep_grid is not None
-    if parsed.sweep_kind == "alpha":
-        points = ratio_sweep(parsed.spec, parsed.sweep_grid, workers=args.workers)
-    else:
-        points = rho_sweep(parsed.spec, parsed.sweep_grid, workers=args.workers)
-    rows = [summary_row(pt.spec, pt.summary) for pt in points]
-    _emit(parsed, rows)
+    sweep = {"alpha": ratio_sweep, "rho": rho_sweep}[parsed.sweep_kind]
+    with _staged_outputs(parsed.out_path) as (out,):
+        points = sweep(parsed.spec, parsed.sweep_grid, workers=args.workers)
+        _emit(parsed, [summary_row(pt.spec, pt.summary) for pt in points], out)
     return 0 if all(pt.summary.reliable for pt in points) else 2
 
 
@@ -331,13 +338,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
+        if getattr(args, "workers", 1) < 1:
             raise ConfigError("--workers must be >= 1")
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -14,17 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .model import ModelParams
-from .montecarlo import (
-    ExperimentSpec,
-    GapRuleSpec,
-    GiRuleSpec,
-    MaxGapRuleSpec,
-    RuleSpec,
-)
-from .rules import MAXGAP_VARIANTS
+from .montecarlo import ExperimentSpec
+from .rules import MAXGAP_VARIANTS, RULE_KINDS, RuleSpec
 
 __all__ = [
     "ConfigError",
@@ -130,37 +124,32 @@ def _parse_c1(rule: dict, K: int, context: str) -> float:
     return 1.0
 
 
+# Rule-spec field annotation -> value parser.
+_FIELD_PARSERS = {"int": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool}
+
+
 def _parse_rule(rule: dict, K: int) -> RuleSpec:
     kind = _as_str(_require(rule, "kind", "rule"), "rule.kind")
-    if kind == "gap":
-        _check_keys(rule, {"kind", "m", "c1_adjust", "target_metric"}, "rule")
-        return GapRuleSpec(
-            m=_as_int(_require(rule, "m", "rule"), "rule.m"),
-            c1_adjust=_parse_c1(rule, K, "rule"),
+    if kind not in RULE_KINDS:
+        raise ConfigError(
+            f"rule.kind must be one of {', '.join(map(repr, RULE_KINDS))}, got {kind!r}"
         )
-    if kind == "maxgap":
-        _check_keys(rule, {"kind", "l", "u", "variant", "c1_adjust", "target_metric"}, "rule")
-        variant = _as_str(rule.get("variant", MAXGAP_VARIANTS[0]), "rule.variant")
-        if variant not in MAXGAP_VARIANTS:
-            raise ConfigError(
-                f"rule.variant must be one of {', '.join(MAXGAP_VARIANTS)}, got {variant!r}"
-            )
-        return MaxGapRuleSpec(
-            l=_as_int(_require(rule, "l", "rule"), "rule.l"),
-            u=_as_int(_require(rule, "u", "rule"), "rule.u"),
-            variant=variant,
-            c1_adjust=_parse_c1(rule, K, "rule"),
+    spec_fields = fields(RULE_KINDS[kind])
+    allowed = {"kind"} | {f.name for f in spec_fields}
+    if "c1_adjust" in allowed:
+        allowed.add("target_metric")
+    _check_keys(rule, allowed, "rule")
+    values = {}
+    for f in spec_fields:
+        if f.name == "c1_adjust":
+            values[f.name] = _parse_c1(rule, K, "rule")
+        elif f.name in rule or f.default is MISSING:
+            values[f.name] = _FIELD_PARSERS[f.type](_require(rule, f.name, "rule"), f"rule.{f.name}")
+    if "variant" in values and values["variant"] not in MAXGAP_VARIANTS:
+        raise ConfigError(
+            f"rule.variant must be one of {', '.join(MAXGAP_VARIANTS)}, got {values['variant']!r}"
         )
-    if kind == "gi":
-        _check_keys(rule, {"kind", "l", "u", "experimental_correlated"}, "rule")
-        return GiRuleSpec(
-            l=_as_int(_require(rule, "l", "rule"), "rule.l"),
-            u=_as_int(_require(rule, "u", "rule"), "rule.u"),
-            experimental_correlated=_as_bool(
-                rule.get("experimental_correlated", False), "rule.experimental_correlated"
-            ),
-        )
-    raise ConfigError(f"rule.kind must be 'gap', 'maxgap' or 'gi', got {kind!r}")
+    return RULE_KINDS[kind](**values)
 
 
 def _parse_signal_set(model: dict, rule: RuleSpec) -> frozenset[int]:
@@ -169,10 +158,10 @@ def _parse_signal_set(model: dict, rule: RuleSpec) -> frozenset[int]:
         if not isinstance(raw, list):
             raise ConfigError(f"model.signal_set must be a list of stream indices, got {raw!r}")
         return frozenset(_as_int(v, "model.signal_set entry") for v in raw)
-    if isinstance(rule, GapRuleSpec):
-        # canonical choice; exchangeability makes the labels immaterial
-        return frozenset(range(1, rule.m + 1))
-    raise ConfigError(f"model.signal_set is required for rule kind {rule.kind!r}")
+    default = rule.default_signal_set()
+    if default is None:
+        raise ConfigError(f"model.signal_set is required for rule kind {rule.kind!r}")
+    return default
 
 
 def parse_config_dict(doc: dict) -> ParsedConfig:
@@ -275,25 +264,8 @@ def load_config(path: str) -> ParsedConfig:
 
 
 def rule_dict(rule: RuleSpec) -> dict:
-    """Canonical JSON-compatible form of a rule spec."""
-    if isinstance(rule, GapRuleSpec):
-        return {"kind": "gap", "m": rule.m, "c1_adjust": rule.c1_adjust}
-    if isinstance(rule, MaxGapRuleSpec):
-        return {
-            "kind": "maxgap",
-            "l": rule.l,
-            "u": rule.u,
-            "variant": rule.variant,
-            "c1_adjust": rule.c1_adjust,
-        }
-    if isinstance(rule, GiRuleSpec):
-        return {
-            "kind": "gi",
-            "l": rule.l,
-            "u": rule.u,
-            "experimental_correlated": rule.experimental_correlated,
-        }
-    raise TypeError(f"unknown rule spec {rule!r}")
+    """Canonical JSON-compatible form of a rule spec: the kind, then its fields in order."""
+    return {"kind": rule.kind, **asdict(rule)}
 
 
 def resolved_config_dict(parsed: ParsedConfig) -> dict:

@@ -27,8 +27,10 @@ __all__ = [
     "MetricEstimates",
     "TrialContribs",
     "aggregate",
+    "binomial",
     "confusion",
     "per_trial_contribs",
+    "sample_mean",
 ]
 
 
@@ -114,13 +116,15 @@ class MetricEstimates:
     pfnr: Estimate
 
 
-def _binomial(values: Sequence[int]) -> Estimate:
+def binomial(values: Sequence[int]) -> Estimate:
+    """Share of 1s among 0/1 values, with its binomial standard error."""
     n = len(values)
     p = sum(values) / n
     return Estimate(value=p, se=math.sqrt(p * (1.0 - p) / n))
 
 
-def _sample_mean(values: Sequence[float]) -> Estimate:
+def sample_mean(values: Sequence[float]) -> Estimate:
+    """Mean with its sample standard error (0 for a single value)."""
     n = len(values)
     mean = sum(values) / n
     if n < 2:
@@ -146,11 +150,11 @@ def aggregate(contribs: Sequence[TrialContribs]) -> MetricEstimates:
     if not contribs:
         raise ValueError("cannot aggregate an empty trial collection")
     return MetricEstimates(
-        fwer1=_binomial([t.any_false_rej for t in contribs]),
-        fwer2=_binomial([t.any_false_acc for t in contribs]),
-        pics=_binomial([t.incorrect_selection for t in contribs]),
-        fdr=_sample_mean([t.fdp for t in contribs]),
-        fnr=_sample_mean([t.fnp for t in contribs]),
+        fwer1=binomial([t.any_false_rej for t in contribs]),
+        fwer2=binomial([t.any_false_acc for t in contribs]),
+        pics=binomial([t.incorrect_selection for t in contribs]),
+        fdr=sample_mean([t.fdp for t in contribs]),
+        fnr=sample_mean([t.fnp for t in contribs]),
         pfdr=_conditional([t.fdp for t in contribs], [t.r_positive for t in contribs]),
         pfnr=_conditional([t.fnp for t in contribs], [t.k_minus_r_positive for t in contribs]),
     )

@@ -18,26 +18,29 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .metrics import MetricEstimates, TrialContribs, aggregate, confusion, per_trial_contribs
-from .model import ModelParams, SufficientStats, llr_star, sample_block, update_stats
+from .metrics import (
+    MetricEstimates,
+    TrialContribs,
+    aggregate,
+    binomial,
+    confusion,
+    per_trial_contribs,
+    sample_mean,
+)
+from .model import ModelParams, SufficientStats, sample_block, update_stats
 from .rules import (
-    GI_CORRELATED_UNSUPPORTED,
     GapRuleConfig,
+    GapRuleSpec,
+    GiRuleSpec,
     GIRuleConfig,
     MaxGapRuleConfig,
-    StopDecision,
-    VARIANT_SQRT2,
-    calibrate_gap,
-    calibrate_gi,
-    calibrate_maxgap,
-    gap_rule_step,
-    gi_rule_step,
-    kl_numbers,
-    maxgap_rule_step,
+    MaxGapRuleSpec,
+    RuleSpec,
+    Stepper,
 )
 from .sprt import SprtConfig, SprtOutcome, SprtDecision, asn_asymptotic, run_sprt
 
@@ -103,39 +106,6 @@ def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class GapRuleSpec:
-    """Known signal count m."""
-
-    kind: ClassVar[str] = "gap"
-    m: int
-    c1_adjust: float = 1.0
-
-
-@dataclass(frozen=True)
-class MaxGapRuleSpec:
-    """Strict signal-count bounds l < count < u."""
-
-    kind: ClassVar[str] = "maxgap"
-    l: int
-    u: int
-    variant: str = VARIANT_SQRT2
-    c1_adjust: float = 1.0
-
-
-@dataclass(frozen=True)
-class GiRuleSpec:
-    """Gap-intersection baseline; calibrated for independent streams only."""
-
-    kind: ClassVar[str] = "gi"
-    l: int
-    u: int
-    experimental_correlated: bool = False
-
-
-RuleSpec = GapRuleSpec | MaxGapRuleSpec | GiRuleSpec
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to bit-reproduce one experiment."""
 
@@ -154,21 +124,7 @@ class ExperimentSpec:
             raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
         if self.horizon_cap is not None and self.horizon_cap < 1:
             raise ValueError(f"horizon_cap must be >= 1, got {self.horizon_cap}")
-        n_signals = len(self.params.signal_set)
-        rule = self.rule
-        if isinstance(rule, GapRuleSpec):
-            if n_signals != rule.m:
-                raise ValueError(
-                    f"gap rule assumes exactly m={rule.m} signals, signal_set has {n_signals}"
-                )
-        elif isinstance(rule, (MaxGapRuleSpec, GiRuleSpec)):
-            if not rule.l < n_signals < rule.u:
-                raise ValueError(
-                    f"rule assumes l < |signals| < u, got |signals|={n_signals} "
-                    f"with l={rule.l}, u={rule.u}"
-                )
-            if isinstance(rule, GiRuleSpec) and self.params.rho > 0.0 and not rule.experimental_correlated:
-                raise ValueError(GI_CORRELATED_UNSUPPORTED)
+        self.rule.check(self.params)
         calibrated_rule(self)  # surface calibration errors at construction
         # the asymptote sets the default horizon and the report's ratio;
         # an extreme mu over- or underflows mu**2 inside it
@@ -195,18 +151,7 @@ def default_horizon_cap(spec: ExperimentSpec) -> int:
 
 def calibrated_rule(spec: ExperimentSpec) -> GapRuleConfig | MaxGapRuleConfig | GIRuleConfig:
     """Calibrate the spec's rule against its model and target levels."""
-    p = spec.params
-    rule = spec.rule
-    if isinstance(rule, GapRuleSpec):
-        return calibrate_gap(rule.m, p.K, spec.alpha, spec.beta, p.rho, p.mu, rule.c1_adjust)
-    if isinstance(rule, MaxGapRuleSpec):
-        return calibrate_maxgap(
-            rule.l, rule.u, p.K, spec.alpha, spec.beta, p.rho, p.mu,
-            rule.c1_adjust, rule.variant,
-        )
-    if isinstance(rule, GiRuleSpec):
-        return calibrate_gi(rule.l, rule.u, p.K, spec.alpha, spec.beta)
-    raise TypeError(f"unknown rule spec {rule!r}")
+    return spec.rule.calibrate(spec.params, spec.alpha, spec.beta)
 
 
 def theoretical_asymptote(spec: ExperimentSpec) -> float:
@@ -216,16 +161,7 @@ def theoretical_asymptote(spec: ExperimentSpec) -> float:
     maxgap:  2*(1-rho)/mu^2 * |log(min(alpha, beta))|
     gi:      |log(min(alpha, beta))| / (eta0 + eta1)   (independent baseline)
     """
-    p = spec.params
-    log_level = abs(math.log(min(spec.alpha, spec.beta)))
-    if isinstance(spec.rule, GapRuleSpec):
-        return (1.0 - p.rho) / p.mu**2 * log_level
-    if isinstance(spec.rule, MaxGapRuleSpec):
-        return 2.0 * (1.0 - p.rho) / p.mu**2 * log_level
-    if isinstance(spec.rule, GiRuleSpec):
-        kl = kl_numbers(p)
-        return log_level / (kl.eta0 + kl.eta1)
-    raise TypeError(f"unknown rule spec {spec.rule!r}")
+    return spec.rule.asymptote(spec.params, abs(math.log(min(spec.alpha, spec.beta))))
 
 
 @dataclass(frozen=True)
@@ -241,26 +177,11 @@ class TrialResult:
             raise ValueError(f"stopping_time must be >= 1, got {self.stopping_time}")
 
 
-def _make_stepper(spec: ExperimentSpec) -> Callable[[SufficientStats], StopDecision]:
-    cfg = calibrated_rule(spec)
-    if isinstance(cfg, GapRuleConfig):
-        return lambda stats: gap_rule_step(stats, cfg)
-    if isinstance(cfg, MaxGapRuleConfig):
-        return lambda stats: maxgap_rule_step(stats, cfg)
-    params = spec.params
-
-    def gi_step(stats: SufficientStats) -> StopDecision:
-        llrs = [llr_star(stats, i, params) for i in range(1, params.K + 1)]
-        return gi_rule_step(llrs, cfg)
-
-    return gi_step
+def _make_stepper(spec: ExperimentSpec) -> Stepper:
+    return spec.rule.stepper(calibrated_rule(spec), spec.params)
 
 
-def _simulate(
-    spec: ExperimentSpec,
-    step: Callable[[SufficientStats], StopDecision],
-    trial_index: int,
-) -> TrialResult:
+def _simulate(spec: ExperimentSpec, step: Stepper, trial_index: int) -> TrialResult:
     params = spec.params
     horizon = spec.resolved_horizon_cap()
     rng = trial_generator(spec.master_seed, trial_index)
@@ -333,21 +254,14 @@ def trial_contribs(trial: TrialResult, params: ModelParams) -> TrialContribs:
 def summarize(spec: ExperimentSpec, trials: Sequence[TrialResult]) -> ExperimentSummary:
     """Aggregate completed trials (in trial-index order) into a summary."""
     contribs = [trial_contribs(t, spec.params) for t in trials]
-    times = [t.stopping_time for t in trials]
-    n = len(times)
-    mean_t = sum(times) / n
-    if n < 2:
-        se_t = 0.0
-    else:
-        var = sum((t - mean_t) ** 2 for t in times) / (n - 1)
-        se_t = math.sqrt(var / n)
+    time = sample_mean([t.stopping_time for t in trials])
     asymptote = theoretical_asymptote(spec)
     return ExperimentSummary(
         metrics=aggregate(contribs),
-        mean_T=mean_t,
-        se_T=se_t,
+        mean_T=time.value,
+        se_T=time.se,
         asymptote=asymptote,
-        ratio=mean_t / asymptote,
+        ratio=time.value / asymptote,
         truncation_count=sum(1 for t in trials if t.truncated),
         replications=spec.replications,
         master_seed=spec.master_seed,
@@ -490,28 +404,26 @@ def sprt_error_mc(
     horizon = horizon_cap if horizon_cap is not None else max(1000, math.ceil(50.0 * asn_asymptotic(config)))
     mean = config.theta0 if truth == "h0" else config.theta1
     sd = math.sqrt(config.sigma2)
+    wrong = SprtDecision.REJECT_H0 if truth == "h0" else SprtDecision.ACCEPT_H0
     times = []
-    errors = 0
+    errors = []
     truncations = 0
     for rep in range(replications):
         rng = trial_generator(master_seed, rep)
         outcome = run_sprt(config, _gaussian_increments(rng, mean, sd, horizon), horizon)
         times.append(outcome.stopping_time)
         if isinstance(outcome, SprtOutcome):
-            wrong = SprtDecision.REJECT_H0 if truth == "h0" else SprtDecision.ACCEPT_H0
-            errors += int(outcome.decision is wrong)
+            errors.append(int(outcome.decision is wrong))
         else:
             truncations += 1
-            errors += 1
-    n = len(times)
-    mean_t = sum(times) / n
-    var = sum((t - mean_t) ** 2 for t in times) / (n - 1) if n > 1 else 0.0
-    rate = errors / n
+            errors.append(1)
+    time = sample_mean(times)
+    error = binomial(errors)
     return SprtMcResult(
-        mean_T=mean_t,
-        se_T=math.sqrt(var / n),
-        error_rate=rate,
-        error_se=math.sqrt(rate * (1.0 - rate) / n),
+        mean_T=time.value,
+        se_T=time.se,
+        error_rate=error.value,
+        error_se=error.se,
         truncation_count=truncations,
-        replications=n,
+        replications=replications,
     )

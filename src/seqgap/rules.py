@@ -18,24 +18,36 @@ ones):
 Calibrations accept a ``c1_adjust`` factor (C1) that tightens the nominal
 levels to alpha/C1, beta/C1, converting familywise-error control into
 control of any error metric bounded by C1 times the familywise rates.
+
+Each procedure has one spec class (``GapRuleSpec``, ``MaxGapRuleSpec``,
+``GiRuleSpec``) that owns every decision particular to its kind: which
+models it accepts, its calibration, its theoretical mean sample size, its
+per-step stopper, its calibration printout and its default signal set.
+``RULE_KINDS`` maps each kind name to its spec class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar, NamedTuple
 
-from .model import ModelParams, SufficientStats, ordered_sums
+from .model import ModelParams, SufficientStats, llr_star, ordered_sums
 
 __all__ = [
     "GI_CORRELATED_UNSUPPORTED",
     "GapRuleConfig",
+    "GapRuleSpec",
     "GIRuleConfig",
+    "GiRuleSpec",
     "KlNumbers",
     "MAXGAP_VARIANTS",
     "MaxGapRuleConfig",
+    "MaxGapRuleSpec",
+    "RULE_KINDS",
+    "RuleSpec",
     "StopDecision",
+    "Stepper",
     "VARIANT_SQRT2",
     "VARIANT_UNSCALED",
     "calibrate_gap",
@@ -257,10 +269,7 @@ def calibrate_gi(l: int, u: int, K: int, alpha: float, beta: float) -> GIRuleCon
     """
     if not 1 <= l < u <= K - 1:
         raise ValueError(f"need 1 <= l < u <= {K - 1}, got l={l}, u={u}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    _check_levels(alpha, beta, 1.0)
     log_a = abs(math.log(alpha))
     log_b = abs(math.log(beta))
     return GIRuleConfig(
@@ -318,3 +327,138 @@ def kl_numbers(params: ModelParams) -> KlNumbers:
     """
     d = params.mu**2 / 2.0
     return KlNumbers(d0=d, d1=d, eta0=d, eta1=d)
+
+
+# The steppers look the step functions up by module-global name at call
+# time, so a profiler that rebinds those names sees every step.
+Stepper = Callable[[SufficientStats], StopDecision]
+
+
+def _check_count_bounds(l: int, u: int, params: ModelParams) -> None:
+    n_signals = len(params.signal_set)
+    if not l < n_signals < u:
+        raise ValueError(
+            f"rule assumes l < |signals| < u, got |signals|={n_signals} with l={l}, u={u}"
+        )
+
+
+@dataclass(frozen=True)
+class GapRuleSpec:
+    """Known signal count m."""
+
+    kind: ClassVar[str] = "gap"
+    m: int
+    c1_adjust: float = 1.0
+
+    def check(self, params: ModelParams) -> None:
+        """Reject a model the rule's assumptions do not cover."""
+        n_signals = len(params.signal_set)
+        if n_signals != self.m:
+            raise ValueError(
+                f"gap rule assumes exactly m={self.m} signals, signal_set has {n_signals}"
+            )
+
+    def default_signal_set(self) -> frozenset[int] | None:
+        """Signal set used when a config names none (None: one is required)."""
+        # canonical choice; exchangeability makes the labels immaterial
+        return frozenset(range(1, self.m + 1))
+
+    def calibrate(self, params: ModelParams, alpha: float, beta: float) -> GapRuleConfig:
+        return calibrate_gap(self.m, params.K, alpha, beta, params.rho, params.mu, self.c1_adjust)
+
+    def asymptote(self, params: ModelParams, log_level: float) -> float:
+        """(1-rho)/mu^2 * |log(min(alpha, beta))|"""
+        return (1.0 - params.rho) / params.mu**2 * log_level
+
+    def stepper(self, cfg: GapRuleConfig, params: ModelParams) -> Stepper:
+        return lambda stats: gap_rule_step(stats, cfg)
+
+    def calibration_lines(self, params: ModelParams, alpha: float, beta: float) -> list[str]:
+        cfg = self.calibrate(params, alpha, beta)
+        return [f"c = {cfg.c!r}", f"G = {cfg.G!r}"]
+
+
+@dataclass(frozen=True)
+class MaxGapRuleSpec:
+    """Strict signal-count bounds l < count < u."""
+
+    kind: ClassVar[str] = "maxgap"
+    l: int
+    u: int
+    variant: str = VARIANT_SQRT2
+    c1_adjust: float = 1.0
+
+    def check(self, params: ModelParams) -> None:
+        """Reject a model the rule's assumptions do not cover."""
+        _check_count_bounds(self.l, self.u, params)
+
+    def default_signal_set(self) -> frozenset[int] | None:
+        """Signal set used when a config names none (None: one is required)."""
+        return None
+
+    def calibrate(self, params: ModelParams, alpha: float, beta: float) -> MaxGapRuleConfig:
+        return calibrate_maxgap(
+            self.l, self.u, params.K, alpha, beta, params.rho, params.mu,
+            self.c1_adjust, self.variant,
+        )
+
+    def asymptote(self, params: ModelParams, log_level: float) -> float:
+        """2*(1-rho)/mu^2 * |log(min(alpha, beta))|"""
+        return 2.0 * (1.0 - params.rho) / params.mu**2 * log_level
+
+    def stepper(self, cfg: MaxGapRuleConfig, params: ModelParams) -> Stepper:
+        return lambda stats: maxgap_rule_step(stats, cfg)
+
+    def calibration_lines(self, params: ModelParams, alpha: float, beta: float) -> list[str]:
+        # show both threshold variants so their scale difference is visible
+        lines = []
+        for variant in MAXGAP_VARIANTS:
+            cfg = replace(self, variant=variant).calibrate(params, alpha, beta)
+            lines.append(f"variant {variant}: e(n) = {cfg.base!r} + n * {cfg.slope!r}")
+        return lines
+
+
+@dataclass(frozen=True)
+class GiRuleSpec:
+    """Gap-intersection baseline; calibrated for independent streams only."""
+
+    kind: ClassVar[str] = "gi"
+    l: int
+    u: int
+    experimental_correlated: bool = False
+
+    def check(self, params: ModelParams) -> None:
+        """Reject a model the rule's assumptions do not cover."""
+        _check_count_bounds(self.l, self.u, params)
+        if params.rho > 0.0 and not self.experimental_correlated:
+            raise ValueError(GI_CORRELATED_UNSUPPORTED)
+
+    def default_signal_set(self) -> frozenset[int] | None:
+        """Signal set used when a config names none (None: one is required)."""
+        return None
+
+    def calibrate(self, params: ModelParams, alpha: float, beta: float) -> GIRuleConfig:
+        return calibrate_gi(self.l, self.u, params.K, alpha, beta)
+
+    def asymptote(self, params: ModelParams, log_level: float) -> float:
+        """|log(min(alpha, beta))| / (eta0 + eta1), the independent baseline"""
+        kl = kl_numbers(params)
+        return log_level / (kl.eta0 + kl.eta1)
+
+    def stepper(self, cfg: GIRuleConfig, params: ModelParams) -> Stepper:
+        def gi_step(stats: SufficientStats) -> StopDecision:
+            llrs = [llr_star(stats, i, params) for i in range(1, params.K + 1)]
+            return gi_rule_step(llrs, cfg)
+
+        return gi_step
+
+    def calibration_lines(self, params: ModelParams, alpha: float, beta: float) -> list[str]:
+        cfg = self.calibrate(params, alpha, beta)
+        return [f"{name} = {getattr(cfg, name)!r}" for name in ("a", "b", "c", "d")]
+
+
+RuleSpec = GapRuleSpec | MaxGapRuleSpec | GiRuleSpec
+
+RULE_KINDS: dict[str, type[RuleSpec]] = {
+    cls.kind: cls for cls in (GapRuleSpec, MaxGapRuleSpec, GiRuleSpec)
+}

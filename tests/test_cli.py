@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import stat
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import seqgap
+import seqgap.cli as cli
 from seqgap.cli import SCHEMA, TRIAL_DUMP_SCHEMA, main, summary_row, write_report_csv
 from seqgap.config import (
     ConfigError,
@@ -12,6 +18,7 @@ from seqgap.config import (
     resolved_config_dict,
 )
 from seqgap.montecarlo import GapRuleSpec, MaxGapRuleSpec, run_experiment
+from seqgap.rules import RULE_KINDS
 
 
 def base_config(**overrides):
@@ -60,6 +67,35 @@ def test_roundtrip_through_resolved_dict():
         parsed = parse_config_dict(doc)
         again = parse_config_dict(resolved_config_dict(parsed))
         assert again == parsed
+
+
+# one config per rule kind with every rule field set away from its default
+RULE_EXAMPLES = {
+    "gap": (
+        {"K": 4, "rho": 0.5, "mu": 1.0},
+        {"kind": "gap", "m": 2, "target_metric": "pfer"},
+    ),
+    "maxgap": (
+        {"K": 5, "rho": 0.5, "mu": 1.0, "signal_set": [2, 4]},
+        {"kind": "maxgap", "l": 1, "u": 3, "variant": "unscaled", "c1_adjust": 2.0},
+    ),
+    "gi": (
+        {"K": 5, "rho": 0.3, "mu": 1.0, "signal_set": [1, 5]},
+        {"kind": "gi", "l": 1, "u": 3, "experimental_correlated": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+def test_every_rule_kind_round_trips(kind):
+    model, rule = RULE_EXAMPLES[kind]
+    parsed = parse_config_dict(base_config(model=model, rule=rule))
+    spec_class = RULE_KINDS[kind]
+    assert type(parsed.spec.rule) is spec_class
+    resolved = resolved_config_dict(parsed)
+    # the kind first, then the spec's fields in declaration order
+    assert list(resolved["rule"]) == ["kind"] + [f.name for f in fields(spec_class)]
+    assert parse_config_dict(resolved) == parsed
 
 
 @pytest.mark.parametrize(
@@ -368,6 +404,70 @@ def test_exit_codes(tmp_path):
                     "--horizon", 1]) == 2
     assert run_cli(["simulate"]) == 1  # missing --config
     assert run_cli(["simulate", "--config", good, "--workers", 0]) == 1
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the run started although an output cannot be written")
+
+
+def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment_with_trials", _refuse_to_run)
+    monkeypatch.setattr(cli, "ratio_sweep", _refuse_to_run)
+    cfg = write_config(tmp_path, base_config(sweep={"alpha_grid": [1e-2]}))
+    missing = tmp_path / "no-dir"
+    report = tmp_path / "r.csv"
+    assert run_cli(["simulate", "--config", cfg, "--out", missing / "r.csv"]) == 3
+    assert run_cli(["sweep", "--config", cfg, "--out", missing / "r.csv"]) == 3
+    # a good report path with a bad trial dump path writes neither
+    assert run_cli(["simulate", "--config", cfg, "--out", report,
+                    "--trial-dump", missing / "t.csv"]) == 3
+    assert run_cli(["simulate", "--config", cfg, "--out", report,
+                    "--trial-dump", tmp_path]) == 3  # a directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_failed_run_leaves_no_outputs(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("worker failed")
+
+    monkeypatch.setattr(cli, "run_experiment_with_trials", fail)
+    cfg = write_config(tmp_path, base_config())
+    report, dump = tmp_path / "r.csv", tmp_path / "t.csv"
+    report.write_text("earlier report\n")
+    assert run_cli(["simulate", "--config", cfg, "--out", report, "--trial-dump", dump]) == 1
+    assert report.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "r.csv"]
+
+
+def test_output_through_symlink_and_pipe(tmp_path):
+    cfg = write_config(tmp_path, base_config())
+    # a symlinked destination is written through, the link itself stays
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert run_cli(["simulate", "--config", cfg, "--out", link]) == 0
+    assert link.is_symlink() and real.read_text().startswith("# seqgap ")
+    # a pipe cannot be replaced by a file: it is written directly
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(["simulate", "--config", cfg, "--out", fifo]) == 0
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert data == real.read_bytes()
+
+
+def test_readme_library_import_line():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(
+        text for text in readme.read_text().splitlines() if text.startswith("from seqgap import")
+    )
+    exec(line, {})
+    for name in seqgap.__all__:
+        assert hasattr(seqgap, name), name
 
 
 def test_undefined_conditional_serialization(tmp_path):
