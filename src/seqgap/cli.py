@@ -9,7 +9,8 @@ Reports carry a fixed 30-column schema (CSV, or a JSON mirror with a meta
 object).  Every report embeds the tool version, generator id, master seed
 and the resolved config, and contains no timestamps, so reruns are
 bit-identical.  Exit codes: 0 ok, 1 usage or config error, 2 experiment
-completed but unreliable (too many truncated trials), 3 I/O failure.
+completed but unreliable (too many truncated trials), 3 I/O or worker
+failure.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Sequence, TextIO
 
@@ -244,7 +246,7 @@ def _apply_overrides(parsed: ParsedConfig, args: argparse.Namespace) -> ParsedCo
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    spec = _apply_overrides(load_config(args.config), args).spec
+    spec = load_config(args.config).spec
     print(f"rule = {spec.rule.kind}")
     for line in spec.rule.calibration_lines(spec.params, spec.alpha, spec.beta):
         print(line)
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
     sp = sub.add_parser("calibrate", help="print thresholds without simulating")
-    add_common(sp)
+    sp.add_argument("--config", required=True, help="experiment config (JSON)")
     sp.set_defaults(fn=cmd_calibrate)
 
     sp = sub.add_parser("simulate", help="run one experiment and write a report row")
@@ -346,6 +348,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 3
 
 

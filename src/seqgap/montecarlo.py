@@ -3,8 +3,12 @@
 Every trial owns a counter-based generator (numpy Philox) keyed by a
 SplitMix64 mix of (master_seed, trial_index), so results are independent
 of scheduling and worker count: the same spec bit-reproduces the same
-estimates serially or in parallel.  Trials are simulated in sampled blocks
-but consume the random stream exactly as single-step sampling would.
+estimates serially or in parallel.  A chunk of trials rekeys one generator
+rather than building one per trial; the stream is the same.  Trials are
+simulated in sampled blocks but consume the random stream exactly as
+single-step sampling would, so the block sizes are free: after a chunk's
+first trial, each trial's first block is sized from the chunk's mean
+stopping time so far, and later blocks are ``_BLOCK`` rows.
 
 Truncated trials (no stop by the horizon cap) are scored as maximally
 wrong: the recorded rejection set is the complement of the signal set,
@@ -79,7 +83,10 @@ GENERATOR_ID = "philox4x64/splitmix64-keys/v1"
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 64
+_MIN_FIRST_BLOCK = 8  # below this, a draw's fixed cost outweighs the rows it saves
 _TRUNCATION_LIMIT = 0.05
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+_ZERO_WORDS.flags.writeable = False
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
@@ -100,9 +107,28 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return x
 
 
-def trial_generator(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Counter-based generator for one trial (see GENERATOR_ID)."""
-    return np.random.Generator(np.random.Philox(key=derive_trial_seed(master_seed, trial_index)))
+def trial_generator(
+    master_seed: int, trial_index: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Counter-based generator for one trial (see GENERATOR_ID).
+
+    Given a Philox-backed ``rng``, rekey it in place and return it instead
+    of building a new generator.  A Philox stream is fully set by its key
+    and counter, so with a zero counter and an empty output buffer the
+    draws are those of a new generator, whatever ``rng`` drew before.
+    """
+    key = derive_trial_seed(master_seed, trial_index)
+    if rng is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": (key, 0)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -181,14 +207,15 @@ def _make_stepper(spec: ExperimentSpec) -> Stepper:
     return spec.rule.stepper(calibrated_rule(spec), spec.params)
 
 
-def _simulate(spec: ExperimentSpec, step: Stepper, trial_index: int) -> TrialResult:
-    params = spec.params
-    horizon = spec.resolved_horizon_cap()
-    rng = trial_generator(spec.master_seed, trial_index)
+def _simulate(
+    params: ModelParams, step: Stepper, rng: np.random.Generator, horizon: int, first_block: int
+) -> TrialResult:
     stats = SufficientStats.initial(params.K)
     n = 0
+    block = first_block
     while n < horizon:
-        rows = sample_block(params, rng, min(_BLOCK, horizon - n)).tolist()
+        rows = sample_block(params, rng, min(block, horizon - n)).tolist()
+        block = _BLOCK
         for row in rows:
             stats = update_stats(stats, row)
             n += 1
@@ -202,12 +229,25 @@ def _simulate(spec: ExperimentSpec, step: Stepper, trial_index: int) -> TrialRes
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     """Simulate one trial; pure function of (spec, trial_index)."""
-    return _simulate(spec, _make_stepper(spec), trial_index)
+    rng = trial_generator(spec.master_seed, trial_index)
+    return _simulate(spec.params, _make_stepper(spec), rng, spec.resolved_horizon_cap(), _BLOCK)
 
 
 def _run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
     step = _make_stepper(spec)
-    return [_simulate(spec, step, i) for i in range(start, stop)]
+    horizon = spec.resolved_horizon_cap()
+    rng = None
+    first_block = _BLOCK
+    steps = 0
+    results: list[TrialResult] = []
+    for i in range(start, stop):
+        rng = trial_generator(spec.master_seed, i, rng)
+        trial = _simulate(spec.params, step, rng, horizon, first_block)
+        results.append(trial)
+        # twice the mean stopping time so far covers most trials in one draw
+        steps += trial.stopping_time
+        first_block = min(_BLOCK, max(_MIN_FIRST_BLOCK, math.ceil(2 * steps / len(results))))
+    return results
 
 
 def _run_all_trials(spec: ExperimentSpec, workers: int) -> list[TrialResult]:
@@ -408,8 +448,9 @@ def sprt_error_mc(
     times = []
     errors = []
     truncations = 0
+    rng = None
     for rep in range(replications):
-        rng = trial_generator(master_seed, rep)
+        rng = trial_generator(master_seed, rep, rng)
         outcome = run_sprt(config, _gaussian_increments(rng, mean, sd, horizon), horizon)
         times.append(outcome.stopping_time)
         if isinstance(outcome, SprtOutcome):

@@ -9,6 +9,7 @@ import pytest
 
 import seqgap
 import seqgap.cli as cli
+import seqgap.montecarlo as montecarlo
 from seqgap.cli import SCHEMA, TRIAL_DUMP_SCHEMA, main, summary_row, write_report_csv
 from seqgap.config import (
     ConfigError,
@@ -272,6 +273,20 @@ def test_two_runs_are_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+def test_outputs_do_not_depend_on_workers(tmp_path, kind):
+    model, rule = RULE_EXAMPLES[kind]
+    cfg = write_config(tmp_path, base_config(model=model, rule=rule))
+    outputs = []
+    for workers in (1, 2):
+        report, dump = tmp_path / f"r{workers}.csv", tmp_path / f"t{workers}.csv"
+        # 128 = 2 * _BLOCK trials, the fewest that run in a pool
+        assert run_cli(["simulate", "--config", cfg, "--out", report, "--trial-dump", dump,
+                        "--reps", 128, "--workers", workers]) == 0
+        outputs.append((report.read_bytes(), dump.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_trial_dump(tmp_path):
     cfg = write_config(tmp_path, base_config())
     dump = tmp_path / "trials.csv"
@@ -359,6 +374,18 @@ def test_calibrate_gi_output(tmp_path, capsys):
     assert float(out["d"]) == pytest.approx(7.313220, abs=1e-6)
 
 
+def test_calibrate_takes_only_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config())
+    out = tmp_path / "cal.txt"
+    for extra in (["--out", out], ["--format", "json"], ["--workers", 2], ["--seed", 3],
+                  ["--reps", 0], ["--horizon", 9]):
+        capsys.readouterr()
+        assert run_cli(["calibrate", "--config", cfg, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unrecognized arguments: {' '.join(map(str, extra))}\n"
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- sprt-asn
 
 
@@ -404,6 +431,21 @@ def test_exit_codes(tmp_path):
                     "--horizon", 1]) == 2
     assert run_cli(["simulate"]) == 1  # missing --config
     assert run_cli(["simulate", "--config", good, "--workers", 0]) == 1
+
+
+def _die(*args, **kwargs):
+    os._exit(1)
+
+
+def test_dead_worker_is_one_line_and_exit_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(montecarlo, "_run_chunk", _die)
+    cfg = write_config(tmp_path, base_config())
+    capsys.readouterr()
+    assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "r.csv",
+                    "--trial-dump", tmp_path / "t.csv", "--reps", 300, "--workers", 2]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def _refuse_to_run(*args, **kwargs):

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import seqgap.montecarlo as montecarlo
 from seqgap.model import ModelParams
 from seqgap.montecarlo import (
     ExperimentSpec,
@@ -20,7 +22,9 @@ from seqgap.montecarlo import (
     sprt_benchmark,
     summarize,
     theoretical_asymptote,
+    trial_generator,
 )
+from seqgap.rules import RULE_KINDS
 from seqgap.sprt import asn_asymptotic
 
 
@@ -33,6 +37,27 @@ def gap_spec(alpha=0.01, beta=None, rho=0.5, reps=200, seed=1234, K=4, m=2, **kw
         replications=reps,
         master_seed=seed,
         **kwargs,
+    )
+
+
+# one model and rule per kind; GI on correlated streams, as the CLI allows
+KIND_EXAMPLES = {
+    "gap": (ModelParams(K=4, rho=0.5, mu=1.0, signal_set=frozenset({1, 2})), GapRuleSpec(m=2)),
+    "maxgap": (
+        ModelParams(K=5, rho=0.5, mu=1.0, signal_set=frozenset({2, 4})),
+        MaxGapRuleSpec(l=1, u=3),
+    ),
+    "gi": (
+        ModelParams(K=5, rho=0.3, mu=1.0, signal_set=frozenset({1, 5})),
+        GiRuleSpec(l=1, u=3, experimental_correlated=True),
+    ),
+}
+
+
+def kind_spec(kind, reps):
+    params, rule = KIND_EXAMPLES[kind]
+    return ExperimentSpec(
+        params=params, rule=rule, alpha=0.01, beta=0.01, replications=reps, master_seed=1234
     )
 
 
@@ -59,6 +84,31 @@ def test_seed_streams_disjoint_across_masters():
     a = {derive_trial_seed(2**40, i) for i in range(10**4)}
     b = {derive_trial_seed(2**40 + 1, i) for i in range(10**4)}
     assert not a & b
+
+
+def _draws(rng):
+    normals = [rng.standard_normal(shape) for shape in ((1,), (3, 5), (7,), (2, 11))]
+    return normals, rng.integers(0, 2**32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**64 - 1])
+def test_rekeyed_generator_draws_like_a_new_one(master_seed):
+    # leave one generator with a part-used output buffer, the other with a
+    # held-back half word; rekeying must discard both
+    part_used = np.random.Generator(np.random.Philox(key=7))
+    part_used.standard_normal(3)
+    assert part_used.bit_generator.state["buffer_pos"] < 4
+    half_word = np.random.Generator(np.random.Philox(key=8))
+    half_word.integers(0, 10, dtype=np.uint32)
+    assert half_word.bit_generator.state["has_uint32"] == 1
+    for i in range(2000):
+        want_normals, want_u32 = _draws(trial_generator(master_seed, i))
+        for rng in (part_used, half_word):
+            assert trial_generator(master_seed, i, rng) is rng
+            normals, u32 = _draws(rng)
+            assert u32 == want_u32
+            for got, want in zip(normals, want_normals):
+                np.testing.assert_array_equal(got, want)
 
 
 # -------------------------------------------------------- spec validation
@@ -182,6 +232,26 @@ def test_gi_trial_runs_at_rho_zero():
         assert trial.truncated or 1 <= len(trial.rejected) <= 3
 
 
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+def test_trial_result_does_not_depend_on_block_schedule(kind):
+    spec = kind_spec(kind, reps=60)
+    step = montecarlo._make_stepper(spec)
+    outcomes = set()
+    for horizon in (4, spec.resolved_horizon_cap()):  # 4: shorter than most blocks
+        for i in range(spec.replications):
+            results = {
+                montecarlo._simulate(spec.params, step, trial_generator(spec.master_seed, i), horizon, first)
+                for first in (1, 3, 8, 64)
+            }
+            assert len(results) == 1
+            outcomes.add(results.pop().truncated)
+    assert outcomes == {False, True}
+    # a chunk rekeys one generator and sizes first blocks from its stopping
+    # times; each trial still equals the one run on its own
+    chunk = montecarlo._run_chunk(spec, 0, spec.replications)
+    assert chunk == [run_trial(spec, i) for i in range(spec.replications)]
+
+
 def test_truncated_trial_scores_all_wrong():
     spec = gap_spec(horizon_cap=1, reps=20)
     trials = [run_trial(spec, i) for i in range(20)]
@@ -200,11 +270,12 @@ def test_experiment_is_deterministic():
     assert run_experiment(spec) == run_experiment(spec)
 
 
-def test_parallel_equals_serial():
-    spec = gap_spec(reps=300)
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+def test_parallel_equals_serial(kind):
+    spec = kind_spec(kind, reps=300)  # at least 2 * _BLOCK, or the run stays serial
     serial = run_experiment_with_trials(spec, workers=1)
-    parallel = run_experiment_with_trials(spec, workers=3)
-    assert serial == parallel
+    for workers in (2, 3):
+        assert run_experiment_with_trials(spec, workers=workers) == serial
 
 
 def test_experiment_summary_contents():
