@@ -156,14 +156,21 @@ def write_report_json(out: TextIO, rows: Sequence[dict], config_doc: dict, maste
 
 
 def write_trial_dump(out: TextIO, spec: ExperimentSpec, trials: Sequence[TrialResult]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRIAL_DUMP_SCHEMA)
+    """One CSV line per trial, in ``csv.writer``'s format (no cell needs quoting).
+
+    The ``V,W,R,truncated`` tail depends only on the trial's outcome, so it
+    is built once per distinct (rejected, truncated) pair.
+    """
+    tails: dict[tuple[frozenset[int], bool], str] = {}
+    lines = [",".join(TRIAL_DUMP_SCHEMA) + "\n"]
     for index, trial in enumerate(trials):
-        counts = confusion(trial.rejected, spec.params.signal_set, spec.params.K)
-        writer.writerow([
-            index, trial.stopping_time, counts.V, counts.W, counts.R,
-            _cell(trial.truncated),
-        ])
+        key = (trial.rejected, trial.truncated)
+        tail = tails.get(key)
+        if tail is None:
+            counts = confusion(trial.rejected, spec.params.signal_set, spec.params.K)
+            tail = tails[key] = f"{counts.V},{counts.W},{counts.R},{_cell(trial.truncated)}\n"
+        lines.append(f"{index},{trial.stopping_time},{tail}")
+    out.write("".join(lines))
 
 
 @contextlib.contextmanager

@@ -17,7 +17,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from .model import ModelParams
-from .montecarlo import ExperimentSpec
+from .montecarlo import ExperimentSpec, sweep_specs
 from .rules import MAXGAP_VARIANTS, RULE_KINDS, RuleSpec
 
 __all__ = [
@@ -227,6 +227,8 @@ def parse_config_dict(doc: dict) -> ParsedConfig:
             master_seed=_as_int(_require(mc, "master_seed", "mc"), "mc.master_seed"),
             horizon_cap=horizon_cap,
         )
+        if sweep_kind is not None:  # every grid point, before any of them runs
+            sweep_specs(spec, sweep_kind, sweep_grid)
     except ValueError as exc:  # reject with the model/rule diagnostic attached
         raise ConfigError(str(exc)) from exc
     return ParsedConfig(

@@ -144,8 +144,10 @@ def _conditional(numerators: Sequence[float], qualifies: Sequence[int]) -> Estim
 def aggregate(contribs: Sequence[TrialContribs]) -> MetricEstimates:
     """Combine per-trial contributions into metric estimates.
 
-    Order-independent (sums only), so results do not depend on how trials
-    were scheduled, provided the collection itself is complete.
+    Trials are summed in the order given.  Float sums depend on their order,
+    so FDR, FNR and their conditional forms can change in the last digits
+    if the trials are reordered; the harness passes trials in trial-index
+    order, which keeps reports byte-identical across ``--workers``.
     """
     if not contribs:
         raise ValueError("cannot aggregate an empty trial collection")

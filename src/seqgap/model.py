@@ -51,6 +51,10 @@ class ModelParams:
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "signal_set", frozenset(int(i) for i in self.signal_set))
         validate_params(self)
+        # not a field: equality, hashing and repr stay those of the four fields
+        mean_row = self.mean_vector()
+        mean_row.flags.writeable = False
+        object.__setattr__(self, "_mean_row", mean_row)
 
     def mean_vector(self) -> np.ndarray:
         """Per-stream means: mu on signal streams, 0 on noise streams."""
@@ -104,8 +108,7 @@ class SufficientStats:
     def _trusted(cls, n: int, sums: tuple[float, ...]) -> SufficientStats:
         """Build without ``__post_init__``: the caller guarantees n >= 0 and float sums."""
         stats = object.__new__(cls)
-        object.__setattr__(stats, "n", n)
-        object.__setattr__(stats, "sums", sums)
+        stats.__dict__.update(n=n, sums=sums)
         return stats
 
     @property
@@ -141,7 +144,7 @@ def sample_block(params: ModelParams, rng: np.random.Generator, count: int) -> n
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     eps = rng.standard_normal((count, params.K + 1))
-    z = params.mean_vector()[None, :] + math.sqrt(1.0 - params.rho) * eps[:, : params.K]
+    z = params._mean_row + math.sqrt(1.0 - params.rho) * eps[:, : params.K]
     return z + math.sqrt(params.rho) * eps[:, params.K :]
 
 
@@ -149,9 +152,15 @@ def update_stats(stats: SufficientStats, obs: ObservationBatch | Iterable[float]
     """Fold one observation vector of real numbers into the cumulative sums.
 
     The sums are floats and a float plus a real number is a float, so the
-    result skips the public constructor's re-validation.
+    result skips the public constructor's re-validation.  A list or tuple
+    row is read as it is; any other iterable is copied once.
     """
-    values = obs.values if isinstance(obs, ObservationBatch) else tuple(obs)
+    if isinstance(obs, ObservationBatch):
+        values = obs.values
+    elif isinstance(obs, (list, tuple)):
+        values = obs
+    else:
+        values = tuple(obs)
     if len(values) != len(stats.sums):
         raise ValueError(f"observation length {len(values)} != K={stats.K}")
     return SufficientStats._trusted(stats.n + 1, tuple(map(operator.add, stats.sums, values)))
@@ -186,6 +195,7 @@ def llr_star(stats: SufficientStats, i: int, params: ModelParams) -> float:
     Pairwise differences of the two versions agree in distribution, and the
     stopping rules depend on differences only.
     """
-    if not 1 <= i <= stats.K:
-        raise ValueError(f"stream index must be in 1..{stats.K}, got {i}")
-    return params.mu / (1.0 - params.rho) * (stats.sums[i - 1] - stats.n * params.mu / 2.0)
+    sums = stats.sums
+    if not 1 <= i <= len(sums):
+        raise ValueError(f"stream index must be in 1..{len(sums)}, got {i}")
+    return params.mu / (1.0 - params.rho) * (sums[i - 1] - stats.n * params.mu / 2.0)

@@ -72,6 +72,7 @@ __all__ = [
     "sprt_benchmark",
     "sprt_error_mc",
     "summarize",
+    "sweep_specs",
     "theoretical_asymptote",
     "trial_contribs",
     "trial_generator",
@@ -210,7 +211,7 @@ def _make_stepper(spec: ExperimentSpec) -> Stepper:
 def _simulate(
     params: ModelParams, step: Stepper, rng: np.random.Generator, horizon: int, first_block: int
 ) -> TrialResult:
-    stats = SufficientStats.initial(params.K)
+    stats = SufficientStats._trusted(0, (0.0,) * params.K)
     n = 0
     block = first_block
     while n < horizon:
@@ -292,8 +293,17 @@ def trial_contribs(trial: TrialResult, params: ModelParams) -> TrialContribs:
 
 
 def summarize(spec: ExperimentSpec, trials: Sequence[TrialResult]) -> ExperimentSummary:
-    """Aggregate completed trials (in trial-index order) into a summary."""
-    contribs = [trial_contribs(t, spec.params) for t in trials]
+    """Aggregate completed trials (in trial-index order) into a summary.
+
+    A trial's contributions depend only on its rejected set, so each
+    distinct set is scored once; ``aggregate`` still sees one entry per
+    trial, in the order given.
+    """
+    scored: dict[frozenset[int], TrialContribs] = {}
+    for t in trials:
+        if t.rejected not in scored:
+            scored[t.rejected] = trial_contribs(t, spec.params)
+    contribs = [scored[t.rejected] for t in trials]
     time = sample_mean([t.stopping_time for t in trials])
     asymptote = theoretical_asymptote(spec)
     return ExperimentSummary(
@@ -330,6 +340,40 @@ class SweepPoint:
     summary: ExperimentSummary
 
 
+def sweep_specs(
+    spec_template: ExperimentSpec, kind: Literal["alpha", "rho"], grid: Sequence[float]
+) -> list[ExperimentSpec]:
+    """The template at each grid point: alpha (= beta), or the common correlation.
+
+    Building a spec validates it, so a bad point fails here, naming its
+    grid entry, before any point runs.
+    """
+    if len(grid) == 0:
+        raise ValueError(f"{kind}_grid must be nonempty")
+    if kind == "alpha":
+        if any(b >= a for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"alpha_grid must be strictly decreasing, got {list(grid)}")
+        point = lambda a: replace(spec_template, alpha=a, beta=a)
+    elif kind == "rho":
+        point = lambda rho: replace(spec_template, params=replace(spec_template.params, rho=rho))
+    else:
+        raise ValueError(f"sweep kind must be 'alpha' or 'rho', got {kind!r}")
+    specs = []
+    for value in grid:
+        try:
+            specs.append(point(value))
+        except ValueError as exc:
+            raise ValueError(f"{kind}_grid entry {value!r}: {exc}") from exc
+    return specs
+
+
+def _run_points(specs: list[ExperimentSpec], grid: Sequence[float], workers: int) -> list[SweepPoint]:
+    return [
+        SweepPoint(value=value, spec=spec, summary=run_experiment(spec, workers))
+        for value, spec in zip(grid, specs)
+    ]
+
+
 def ratio_sweep(
     spec_template: ExperimentSpec,
     alpha_grid: Sequence[float],
@@ -340,15 +384,7 @@ def ratio_sweep(
     All points share the template's master seed (common random numbers), so
     cross-point comparisons are variance-reduced.
     """
-    if len(alpha_grid) == 0:
-        raise ValueError("grid must be nonempty")
-    if any(b >= a for a, b in zip(alpha_grid, alpha_grid[1:])):
-        raise ValueError(f"alpha grid must be strictly decreasing, got {list(alpha_grid)}")
-    points = []
-    for a in alpha_grid:
-        spec = replace(spec_template, alpha=a, beta=a)
-        points.append(SweepPoint(value=a, spec=spec, summary=run_experiment(spec, workers)))
-    return points
+    return _run_points(sweep_specs(spec_template, "alpha", alpha_grid), alpha_grid, workers)
 
 
 def rho_sweep(
@@ -357,13 +393,7 @@ def rho_sweep(
     workers: int = 1,
 ) -> list[SweepPoint]:
     """Run the template at each common correlation, sharing the master seed."""
-    if len(rho_grid) == 0:
-        raise ValueError("grid must be nonempty")
-    points = []
-    for rho in rho_grid:
-        spec = replace(spec_template, params=replace(spec_template.params, rho=rho))
-        points.append(SweepPoint(value=rho, spec=spec, summary=run_experiment(spec, workers)))
-    return points
+    return _run_points(sweep_specs(spec_template, "rho", rho_grid), rho_grid, workers)
 
 
 @dataclass(frozen=True)

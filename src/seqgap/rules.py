@@ -86,6 +86,13 @@ class StopDecision:
         if self.rejected is not None:
             object.__setattr__(self, "rejected", frozenset(int(i) for i in self.rejected))
 
+    @classmethod
+    def _trusted(cls, rejected: frozenset[int]) -> StopDecision:
+        """A stop built without ``__post_init__``: the caller passes a frozenset of ints."""
+        decision = object.__new__(cls)
+        decision.__dict__.update(stopped=True, rejected=rejected)
+        return decision
+
 
 CONTINUE = StopDecision(False)
 
@@ -152,7 +159,7 @@ def gap_rule_step(stats: SufficientStats, cfg: GapRuleConfig) -> StopDecision:
     if not 1 <= m < len(ranked):
         raise ValueError(f"gap index must be in 1..{len(ranked) - 1}, got {m}")
     if ranked[m - 1][1] - ranked[m][1] >= cfg.G:
-        return StopDecision(True, frozenset(i for i, _ in ranked[:m]))
+        return StopDecision._trusted(frozenset(i for i, _ in ranked[:m]))
     return CONTINUE
 
 
@@ -240,7 +247,7 @@ def maxgap_rule_step(stats: SufficientStats, cfg: MaxGapRuleConfig) -> StopDecis
             best_i = i
             best_gap = g
     if best_gap >= cfg.threshold_at(stats.n):
-        return StopDecision(True, frozenset(i for i, _ in ranked[:best_i]))
+        return StopDecision._trusted(frozenset(i for i, _ in ranked[:best_i]))
     return CONTINUE
 
 
@@ -291,7 +298,9 @@ def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> StopDecision:
     * intersection criterion: l <= p <= u and no llr inside (-a, b)
     * overshoot criterion: lam(u) >= b and lam(u) - lam(u+1) >= d
 
-    On stop the top p' streams are rejected, p' = p clamped into [l, u].
+    The top p llrs are the positive ones, so with a, b > 0 the intersection
+    criterion reads lam(p) >= b and lam(p+1) <= -a.  On stop the top p'
+    streams are rejected, p' = p clamped into [l, u].
     """
     K = len(llrs)
     if cfg.u + 1 > K:
@@ -301,13 +310,13 @@ def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> StopDecision:
     p = sum(1 for x in llrs if x > 0.0)
 
     tau1 = lam[cfg.l] <= -cfg.a and lam[cfg.l - 1] - lam[cfg.l] >= cfg.c
-    tau2 = cfg.l <= p <= cfg.u and all(not (-cfg.a < x < cfg.b) for x in llrs)
+    tau2 = cfg.l <= p <= cfg.u and lam[p - 1] >= cfg.b and lam[p] <= -cfg.a
     tau3 = lam[cfg.u - 1] >= cfg.b and lam[cfg.u - 1] - lam[cfg.u] >= cfg.d
 
     if not (tau1 or tau2 or tau3):
         return CONTINUE
     p_prime = min(max(p, cfg.l), cfg.u)
-    return StopDecision(True, frozenset(order[i] + 1 for i in range(p_prime)))
+    return StopDecision._trusted(frozenset(order[i] + 1 for i in range(p_prime)))
 
 
 class KlNumbers(NamedTuple):

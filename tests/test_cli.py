@@ -452,6 +452,33 @@ def _refuse_to_run(*args, **kwargs):
     raise AssertionError("the run started although an output cannot be written")
 
 
+GI_CONFIG = {
+    "model": {"K": 5, "rho": 0.0, "mu": 1.0, "signal_set": [1, 2]},
+    "rule": {"kind": "gi", "l": 1, "u": 3},
+}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (base_config(sweep={"rho_grid": [0.0, 0.5, 1.5]}),
+     "error: rho_grid entry 1.5: rho out of range [0, 1): 1.5"),
+    (base_config(sweep={"alpha_grid": [0.1, 0.01, -0.5]}),
+     "error: alpha_grid entry -0.5: alpha must be in (0, 1), got -0.5"),
+    (base_config(**GI_CONFIG, sweep={"rho_grid": [0.0, 0.2]}),
+     "error: rho_grid entry 0.2: the gap-intersection baseline is calibrated for independent streams"),
+], ids=["rho", "alpha", "gi-rho"])
+def test_sweep_rejects_a_bad_grid_point_before_any_runs(tmp_path, monkeypatch, capsys, doc, message):
+    monkeypatch.setattr(montecarlo, "run_experiment", _refuse_to_run)
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as info:
+        load_config(cfg)
+    assert f"error: {info.value}".startswith(message)
+    capsys.readouterr()
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "r.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment_with_trials", _refuse_to_run)
     monkeypatch.setattr(cli, "ratio_sweep", _refuse_to_run)

@@ -7,12 +7,39 @@ gap and max-gap rules, and the validating public constructor for
 0.0 next to -0.0, all-equal rows, equal gaps), where a tie rule would show.
 """
 
+import csv
+import inspect
+import io
+import sys
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+import seqgap.metrics as metrics
 import seqgap.model as model
+import seqgap.montecarlo as montecarlo
 import seqgap.rules as rules
-from seqgap.model import ObservationBatch, SufficientStats, gap_statistic, ordered_sums, update_stats
+from seqgap.cli import TRIAL_DUMP_SCHEMA, write_trial_dump
+from seqgap.metrics import aggregate, confusion
+from seqgap.model import (
+    ModelParams,
+    ObservationBatch,
+    SufficientStats,
+    gap_statistic,
+    ordered_sums,
+    update_stats,
+)
+from seqgap.montecarlo import (
+    ExperimentSpec,
+    GapRuleSpec,
+    GiRuleSpec,
+    MaxGapRuleSpec,
+    TrialResult,
+    run_experiment_with_trials,
+    sample_mean,
+    summarize,
+    trial_contribs,
+)
 from seqgap.rules import (
     CONTINUE,
     GapRuleConfig,
@@ -108,18 +135,36 @@ def test_maxgap_step_matches_per_index_reference(values, data):
     assert maxgap_rule_step(stats, cfg) == reference_maxgap_step(stats, cfg)
 
 
-@given(sums_lists.filter(lambda v: len(v) >= 3), st.data())
-def test_gi_step_matches_tuple_key_reference(values, data):
+@st.composite
+def gi_cases(draw):
+    values = draw(sums_lists.filter(lambda v: len(v) >= 3))
     K = len(values)
-    l = data.draw(st.integers(1, K - 2))
-    u = data.draw(st.integers(l + 1, K - 1))
-    a, b, c, d = (data.draw(st.floats(1e-3, 50.0)) for _ in range(4))
-    cfg = GIRuleConfig(l=l, u=u, a=a, b=b, c=c, d=d)
-    llrs = [v / 20.0 for v in values]
+    l = draw(st.integers(1, K - 2))
+    u = draw(st.integers(l + 1, K - 1))
+    a, b, c, d = (draw(st.floats(1e-3, 50.0)) for _ in range(4))
+    return [v / 20.0 for v in values], GIRuleConfig(l=l, u=u, a=a, b=b, c=c, d=d)
+
+
+def _gi_case(llrs, l, u, a, b):
+    """Thresholds c and d out of reach, so only the intersection criterion can stop."""
+    return llrs, GIRuleConfig(l=l, u=u, a=a, b=b, c=1e3, d=1e3)
+
+
+@given(gi_cases())
+@example(_gi_case([3.0, 2.0, -1.5, -4.0], 1, 3, a=1.5, b=2.0))  # lam(p) == b, lam(p+1) == -a
+@example(_gi_case([3.0, 2.0, -1.0, -4.0], 1, 3, a=1.5, b=2.0))  # lam(p) == b, lam(p+1) inside
+@example(_gi_case([3.0, 1.0, -1.5, -4.0], 1, 3, a=1.5, b=2.0))  # lam(p+1) == -a, lam(p) inside
+@example(_gi_case([2.5, 0.0, -0.0, -2.5], 1, 3, a=1e-3, b=2.0))  # 0.0 beside -0.0
+@example(_gi_case([2.5, -0.0, 0.0, -2.5], 1, 3, a=1e-3, b=2.0))
+@example(_gi_case([3.0, -2.0, -2.5, -3.0], 1, 2, a=2.0, b=3.0))  # p == l
+@example(_gi_case([4.0, 3.0, 2.5, -2.0, -3.0], 1, 3, a=2.0, b=2.5))  # p == u
+@example(_gi_case([4.0, 3.0, 2.5, 2.0, -3.0], 1, 3, a=2.0, b=2.0))  # p == u + 1
+def test_gi_step_matches_tuple_key_reference(case):
+    llrs, cfg = case
     assert gi_rule_step(llrs, cfg) == reference_gi_step(llrs, cfg)
 
 
-@given(sums_lists, st.integers(0, 1000), st.sampled_from(["floats", "ints", "batch"]), st.data())
+@given(sums_lists, st.integers(0, 1000), st.sampled_from(["floats", "tuple", "ints", "batch"]), st.data())
 def test_update_stats_matches_public_constructor(values, n, kind, data):
     stats = SufficientStats(n, tuple(values))
     if kind == "ints":
@@ -127,7 +172,7 @@ def test_update_stats_matches_public_constructor(values, n, kind, data):
         row = obs
     else:
         row = data.draw(st.lists(finite | st.just(-0.0), min_size=len(values), max_size=len(values)))
-        obs = ObservationBatch(tuple(row)) if kind == "batch" else row
+        obs = {"batch": ObservationBatch(tuple(row)), "tuple": tuple(row)}.get(kind, row)
     got = update_stats(stats, obs)
     want = SufficientStats(n + 1, tuple(s + x for s, x in zip(stats.sums, row)))
     assert got == want
@@ -179,3 +224,158 @@ def test_steps_keep_the_gap_index_checks():
     )
     with pytest.raises(ValueError, match="gap indices"):
         maxgap_rule_step(stats, cfg)
+
+
+# ------------------------------------------------- permuting the streams
+
+
+distinct_sums = st.lists(finite, min_size=3, max_size=8, unique=True)
+
+
+def _permuted(values, perm):
+    """Stream j + 1 of the result is stream perm[j] + 1 of ``values``."""
+    return [values[i] for i in perm], lambda rejected: frozenset(
+        j + 1 for j, i in enumerate(perm) if i + 1 in rejected
+    )
+
+
+def _same_up_to(rename, decision, permuted_decision):
+    assert permuted_decision.stopped == decision.stopped
+    if decision.stopped:
+        assert permuted_decision.rejected == rename(decision.rejected)
+
+
+@given(distinct_sums, st.data())
+def test_permuting_streams_permutes_gap_and_maxgap_rejections(values, data):
+    K = len(values)
+    perm = data.draw(st.permutations(range(K)))
+    moved, rename = _permuted(values, perm)
+    n = data.draw(st.integers(1, 50))
+    level = threshold(values, data)
+    gap_cfg = GapRuleConfig(m=data.draw(st.integers(1, K - 1)), alpha=0.01, beta=0.01,
+                            c1_adjust=1.0, c=1.0, G=level)
+    l = data.draw(st.integers(0, K - 2))
+    maxgap_cfg = MaxGapRuleConfig(
+        l=l, u=data.draw(st.integers(l + 2, K)), alpha=0.01, beta=0.01, c1_adjust=1.0,
+        variant=VARIANT_SQRT2, base=level, slope=0.0,
+    )
+    stats, moved_stats = SufficientStats(n, tuple(values)), SufficientStats(n, tuple(moved))
+    _same_up_to(rename, gap_rule_step(stats, gap_cfg), gap_rule_step(moved_stats, gap_cfg))
+    _same_up_to(rename, maxgap_rule_step(stats, maxgap_cfg), maxgap_rule_step(moved_stats, maxgap_cfg))
+
+
+@given(gi_cases().filter(lambda case: len(set(case[0])) == len(case[0])), st.data())
+def test_permuting_streams_permutes_gi_rejections(case, data):
+    llrs, cfg = case
+    moved, rename = _permuted(llrs, data.draw(st.permutations(range(len(llrs)))))
+    _same_up_to(rename, gi_rule_step(llrs, cfg), gi_rule_step(moved, cfg))
+
+
+# --------------------------------------- outcomes scored once per distinct value
+
+
+@st.composite
+def trial_lists(draw):
+    """A gap spec and trials whose equal rejected sets are distinct objects."""
+    K = draw(st.integers(2, 6))
+    m = draw(st.integers(1, K - 1))
+    spec = ExperimentSpec(
+        params=ModelParams(K=K, rho=0.5, mu=1.0, signal_set=frozenset(range(1, m + 1))),
+        rule=GapRuleSpec(m=m), alpha=0.01, beta=0.01, replications=1, master_seed=0,
+    )
+    trials = draw(st.lists(st.builds(
+        TrialResult,
+        stopping_time=st.integers(1, 10**4),
+        rejected=st.lists(st.integers(1, K), max_size=K).map(frozenset),
+        truncated=st.booleans(),
+    ), min_size=1, max_size=40))
+    return spec, trials
+
+
+@given(trial_lists())
+def test_summarize_matches_per_trial_scoring(case):
+    spec, trials = case
+    summary = summarize(spec, trials)
+    assert summary.metrics == aggregate([trial_contribs(t, spec.params) for t in trials])
+    time = sample_mean([t.stopping_time for t in trials])
+    assert (summary.mean_T, summary.se_T) == (time.value, time.se)
+    assert summary.truncation_count == sum(t.truncated for t in trials)
+
+
+@given(trial_lists())
+def test_trial_dump_matches_csv_writer(case):
+    spec, trials = case
+    reference = io.StringIO()
+    writer = csv.writer(reference, lineterminator="\n")
+    writer.writerow(TRIAL_DUMP_SCHEMA)
+    for index, trial in enumerate(trials):
+        counts = confusion(trial.rejected, spec.params.signal_set, spec.params.K)
+        writer.writerow([index, trial.stopping_time, counts.V, counts.W, counts.R,
+                         "true" if trial.truncated else "false"])
+    out = io.StringIO()
+    write_trial_dump(out, spec, trials)
+    assert out.getvalue() == reference.getvalue()
+
+
+# ------------------------------------------------ the benchmark's trace contract
+
+# ``benchmarks/run.py --trace 1`` wraps the public functions and rebinds every
+# module-level reference to them, then requires these counts exactly.
+COUNTED = {
+    "gap_rule_step": rules, "maxgap_rule_step": rules, "gi_rule_step": rules,
+    "update_stats": model, "llr_star": model, "ordered_sums": model,
+    "trial_generator": montecarlo, "confusion": metrics,
+}
+
+TRACED_SPECS = {
+    "gap": ExperimentSpec(
+        params=ModelParams(K=4, rho=0.5, mu=1.0, signal_set=frozenset({1, 2})),
+        rule=GapRuleSpec(m=2), alpha=0.01, beta=0.01, replications=150, master_seed=3,
+        horizon_cap=8,  # some trials truncate
+    ),
+    "maxgap": ExperimentSpec(
+        params=ModelParams(K=6, rho=0.5, mu=1.0, signal_set=frozenset({1, 2})),
+        rule=MaxGapRuleSpec(l=1, u=4), alpha=0.05, beta=0.05, replications=40, master_seed=3,
+        horizon_cap=40,
+    ),
+    "gi": ExperimentSpec(
+        params=ModelParams(K=6, rho=0.0, mu=1.0, signal_set=frozenset({1, 2})),
+        rule=GiRuleSpec(l=1, u=4), alpha=0.05, beta=0.05, replications=60, master_seed=3,
+        horizon_cap=30,
+    ),
+}
+
+
+def _count_calls(monkeypatch):
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {getattr(module, name): name for name, module in COUNTED.items()}
+    wrapped = {fn: counting(name, fn) for fn, name in originals.items()}
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "seqgap" or mod_name.startswith("seqgap."):
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj in wrapped:
+                    monkeypatch.setattr(module, attr, wrapped[obj])
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(TRACED_SPECS))
+def test_trace_contract_counts(monkeypatch, kind):
+    spec = TRACED_SPECS[kind]
+    calls = _count_calls(monkeypatch)
+    _, trials = run_experiment_with_trials(spec)
+    steps = sum(t.stopping_time for t in trials)
+    assert any(t.truncated for t in trials) and not all(t.truncated for t in trials)
+    assert calls[f"{kind}_rule_step"] == steps
+    assert calls["update_stats"] == steps
+    assert calls["llr_star"] == (spec.params.K * steps if kind == "gi" else 0)
+    assert calls["ordered_sums"] == (0 if kind == "gi" else steps)
+    assert calls["trial_generator"] == spec.replications
+    # summarize scores each distinct rejected set once
+    assert calls["confusion"] == len({t.rejected for t in trials})

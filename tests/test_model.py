@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +132,20 @@ def test_block_equals_repeated_increments_bitwise():
     block = sample_block(p, g1, 6)
     singles = [sample_increment(p, g2).values for _ in range(6)]
     assert block.tolist() == [list(row) for row in singles]
+
+
+@pytest.mark.parametrize("how", ["replaced", "pickled"])
+def test_block_means_follow_the_fields(how):
+    want = params(K=5, rho=0.3, signals=(2, 5))
+    if how == "replaced":
+        p = replace(params(K=5, rho=0.1, mu=0.5), rho=0.3, mu=1.0, signal_set=frozenset({2, 5}))
+    else:
+        p = pickle.loads(pickle.dumps(want))
+    assert p == want and hash(p) == hash(want) and repr(p) == repr(want)
+    g1 = np.random.Generator(np.random.Philox(key=7))
+    g2 = np.random.Generator(np.random.Philox(key=7))
+    block = sample_block(p, g1, 6)
+    assert block.tolist() == [list(sample_increment(want, g2).values) for _ in range(6)]
 
 
 def test_sample_block_rejects_bad_count():

@@ -332,6 +332,24 @@ def test_ratio_sweep_validates_grid():
         ratio_sweep(gap_spec(), [1e-3, 1e-2])
 
 
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("a grid point ran before every point was checked")
+
+
+def test_sweeps_check_every_point_before_running(monkeypatch):
+    monkeypatch.setattr(montecarlo, "run_experiment", _refuse_to_run)
+    with pytest.raises(ValueError, match=r"alpha_grid entry -0\.5: alpha must be in \(0, 1\)"):
+        ratio_sweep(gap_spec(), [0.1, 0.01, -0.5])
+    with pytest.raises(ValueError, match=r"rho_grid entry 1\.5: rho out of range"):
+        rho_sweep(gap_spec(), [0.0, 0.5, 1.5])
+    gi = ExperimentSpec(
+        params=ModelParams(K=5, rho=0.0, mu=1.0, signal_set=frozenset({1, 2})),
+        rule=GiRuleSpec(l=1, u=3), alpha=0.01, beta=0.01, replications=10, master_seed=0,
+    )
+    with pytest.raises(ValueError, match=r"rho_grid entry 0\.2: the gap-intersection baseline"):
+        rho_sweep(gi, [0.0, 0.2])
+
+
 def test_rho_sweep_replaces_correlation():
     points = rho_sweep(gap_spec(reps=100), [0.0, 0.5])
     assert [p.spec.params.rho for p in points] == [0.0, 0.5]
