@@ -29,12 +29,11 @@ from typing import Sequence, TextIO
 
 from ._version import __version__
 from .config import ConfigError, FORMATS, ParsedConfig, load_config, resolved_config_dict, rule_dict
-from .metrics import confusion
 from .montecarlo import (
     ExperimentSpec,
     ExperimentSummary,
     GENERATOR_ID,
-    TrialResult,
+    TrialColumns,
     ratio_sweep,
     rho_sweep,
     run_experiment_with_trials,
@@ -155,21 +154,10 @@ def write_report_json(out: TextIO, rows: Sequence[dict], config_doc: dict, maste
     out.write("\n")
 
 
-def write_trial_dump(out: TextIO, spec: ExperimentSpec, trials: Sequence[TrialResult]) -> None:
-    """One CSV line per trial, in ``csv.writer``'s format (no cell needs quoting).
-
-    The ``V,W,R,truncated`` tail depends only on the trial's outcome, so it
-    is built once per distinct (rejected, truncated) pair.
-    """
-    tails: dict[tuple[frozenset[int], bool], str] = {}
+def write_trial_dump(out: TextIO, trials: TrialColumns) -> None:
+    """One CSV line per trial, in ``csv.writer``'s format (no cell needs quoting)."""
     lines = [",".join(TRIAL_DUMP_SCHEMA) + "\n"]
-    for index, trial in enumerate(trials):
-        key = (trial.rejected, trial.truncated)
-        tail = tails.get(key)
-        if tail is None:
-            counts = confusion(trial.rejected, spec.params.signal_set, spec.params.K)
-            tail = tails[key] = f"{counts.V},{counts.W},{counts.R},{_cell(trial.truncated)}\n"
-        lines.append(f"{index},{trial.stopping_time},{tail}")
+    lines += [f"{i},{t},{v},{w},{r},{_cell(x == 1)}\n" for i, (t, v, w, r, x) in enumerate(zip(*trials))]
     out.write("".join(lines))
 
 
@@ -266,7 +254,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         summary, trials = run_experiment_with_trials(parsed.spec, workers=args.workers)
         _emit(parsed, [summary_row(parsed.spec, summary)], out)
         if args.trial_dump is not None:
-            write_trial_dump(dump, parsed.spec, trials)
+            write_trial_dump(dump, trials)
     return 0 if summary.reliable else 2
 
 

@@ -1,9 +1,10 @@
 """Per-trial confusion accounting and aggregation into error-rate estimates.
 
 Per trial: V true nulls rejected, W false nulls accepted, R total
-rejections.  Trial contributions are the false-discovery and
-false-non-discovery proportions (guarded at 0 denominators) and the 0/1
-indicators behind the familywise rates.  Aggregation produces:
+rejections; ``confusion`` counts them for one rejected set.  Aggregation
+reads V, W and R as columns, one entry per trial, and derives each trial's
+false-discovery and false-non-discovery proportions (guarded at 0
+denominators) and the 0/1 indicators behind the familywise rates:
 
     FWER1 = P(V >= 1)            FWER2 = P(W >= 1)
     PICS  = P(selection != truth)
@@ -21,15 +22,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "ConfusionCounts",
     "Estimate",
     "MetricEstimates",
-    "TrialContribs",
     "aggregate",
     "binomial",
     "confusion",
-    "per_trial_contribs",
     "sample_mean",
 ]
 
@@ -68,34 +69,6 @@ def confusion(rejected: Iterable[int], signal_set: Iterable[int], K: int) -> Con
 
 
 @dataclass(frozen=True)
-class TrialContribs:
-    """One trial's additive contributions to every metric estimator."""
-
-    fdp: float
-    fnp: float
-    any_false_rej: int
-    any_false_acc: int
-    incorrect_selection: int
-    r_positive: int
-    k_minus_r_positive: int
-
-
-def per_trial_contribs(counts: ConfusionCounts) -> TrialContribs:
-    """Proportions and indicators for one trial's confusion counts."""
-    fdp = counts.V / max(counts.R, 1)
-    fnp = counts.W / max(counts.K - counts.R, 1)
-    return TrialContribs(
-        fdp=fdp,
-        fnp=fnp,
-        any_false_rej=int(counts.V >= 1),
-        any_false_acc=int(counts.W >= 1),
-        incorrect_selection=int(counts.V + counts.W > 0),
-        r_positive=int(counts.R >= 1),
-        k_minus_r_positive=int(counts.K - counts.R >= 1),
-    )
-
-
-@dataclass(frozen=True)
 class Estimate:
     """Point estimate with standard error; ``defined`` is False when no
     trial qualifies for a conditional metric (value and se are None then)."""
@@ -119,7 +92,7 @@ class MetricEstimates:
 def binomial(values: Sequence[int]) -> Estimate:
     """Share of 1s among 0/1 values, with its binomial standard error."""
     n = len(values)
-    p = sum(values) / n
+    p = int(np.count_nonzero(values)) / n
     return Estimate(value=p, se=math.sqrt(p * (1.0 - p) / n))
 
 
@@ -133,30 +106,34 @@ def sample_mean(values: Sequence[float]) -> Estimate:
     return Estimate(value=mean, se=math.sqrt(var / n))
 
 
-def _conditional(numerators: Sequence[float], qualifies: Sequence[int]) -> Estimate:
-    count = sum(qualifies)
-    if count == 0:
+def _conditional(values: np.ndarray) -> Estimate:
+    if len(values) == 0:
         return Estimate(value=None, se=None, defined=False)
-    total = sum(num for num, q in zip(numerators, qualifies) if q)
-    return Estimate(value=total / count, se=None)
+    return Estimate(value=sum(values.tolist()) / len(values), se=None)
 
 
-def aggregate(contribs: Sequence[TrialContribs]) -> MetricEstimates:
-    """Combine per-trial contributions into metric estimates.
+def aggregate(V: Sequence[int], W: Sequence[int], R: Sequence[int], K: int) -> MetricEstimates:
+    """Metric estimates from per-trial V, W, R columns on K streams.
 
-    Trials are summed in the order given.  Float sums depend on their order,
-    so FDR, FNR and their conditional forms can change in the last digits
-    if the trials are reordered; the harness passes trials in trial-index
-    order, which keeps reports byte-identical across ``--workers``.
+    The proportions are computed per trial (float division is correctly
+    rounded, so each equals Python's ``V / max(R, 1)``) and summed with the
+    built-in ``sum`` over Python floats in the order given.  Float sums
+    depend on their order, so FDR, FNR and their conditional forms can
+    change in the last digits if the trials are reordered; the harness
+    passes trials in trial-index order, which keeps reports byte-identical
+    across ``--workers``.
     """
-    if not contribs:
+    v, w, r = (np.asarray(column, dtype=np.int64) for column in (V, W, R))
+    if len(v) == 0:
         raise ValueError("cannot aggregate an empty trial collection")
+    fdp = v / np.maximum(r, 1)
+    fnp = w / np.maximum(K - r, 1)
     return MetricEstimates(
-        fwer1=binomial([t.any_false_rej for t in contribs]),
-        fwer2=binomial([t.any_false_acc for t in contribs]),
-        pics=binomial([t.incorrect_selection for t in contribs]),
-        fdr=sample_mean([t.fdp for t in contribs]),
-        fnr=sample_mean([t.fnp for t in contribs]),
-        pfdr=_conditional([t.fdp for t in contribs], [t.r_positive for t in contribs]),
-        pfnr=_conditional([t.fnp for t in contribs], [t.k_minus_r_positive for t in contribs]),
+        fwer1=binomial(v >= 1),
+        fwer2=binomial(w >= 1),
+        pics=binomial(v + w > 0),
+        fdr=sample_mean(fdp.tolist()),
+        fnr=sample_mean(fnp.tolist()),
+        pfdr=_conditional(fdp[r >= 1]),
+        pfnr=_conditional(fnp[r < K]),
     )

@@ -1,40 +1,36 @@
-"""Deterministic, parallelizable replication harness.
+"""Deterministic, parallelizable replication harness with one trial loop.
 
 Every trial owns a counter-based generator (numpy Philox) keyed by a
 SplitMix64 mix of (master_seed, trial_index), so results are independent
-of scheduling and worker count: the same spec bit-reproduces the same
-estimates serially or in parallel.  A chunk of trials rekeys one generator
-rather than building one per trial; the stream is the same.  Trials are
-simulated in sampled blocks but consume the random stream exactly as
-single-step sampling would, so the block sizes are free: after a chunk's
-first trial, each trial's first block is sized from the chunk's mean
-stopping time so far, and later blocks are ``_BLOCK`` rows.
+of scheduling and worker count.  One loop runs every trial, for the rules
+and for the SPRT (a one-stream source: its signal set is empty under h0
+and {1} under h1, and rejecting the null rejects stream 1).  Per chunk of
+trials the loop rekeys one generator, resolves the horizon once and scores
+each distinct rejected set once.  Blocks of draws consume the random stream
+exactly as single steps would, so their sizes are free: a trial's first
+block is sized from the chunk's mean stopping time so far, later blocks
+are ``_BLOCK`` rows.  A chunk returns int64 columns (T, V, W, R,
+truncated) in trial-index order, which are all the summary, the SPRT's
+error rate and the trial dump read.
 
 Truncated trials (no stop by the horizon cap) are scored as maximally
-wrong: the recorded rejection set is the complement of the signal set,
-which drives every error indicator and proportion to 1 while keeping the
-confusion identities exact.  Experiments with more than 5% truncations are
-flagged unreliable.
+wrong: their rejected set is the complement of the signal set, which
+drives every error indicator and proportion to 1 and keeps the confusion
+identities exact.  Over 5% truncations flag an experiment unreliable.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Literal, Sequence
+from itertools import chain
+from typing import Callable, Iterator, Literal, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
-from .metrics import (
-    MetricEstimates,
-    TrialContribs,
-    aggregate,
-    binomial,
-    confusion,
-    per_trial_contribs,
-    sample_mean,
-)
+from .metrics import MetricEstimates, aggregate, binomial, confusion, sample_mean
 from .model import ModelParams, SufficientStats, sample_block, update_stats
 from .rules import (
     GapRuleConfig,
@@ -44,9 +40,8 @@ from .rules import (
     MaxGapRuleConfig,
     MaxGapRuleSpec,
     RuleSpec,
-    Stepper,
 )
-from .sprt import SprtConfig, SprtOutcome, SprtDecision, asn_asymptotic, run_sprt
+from .sprt import SprtConfig, SprtDecision, SprtTruncated, asn_asymptotic, run_sprt
 
 __all__ = [
     "GENERATOR_ID",
@@ -59,6 +54,7 @@ __all__ = [
     "SprtBenchmark",
     "SprtMcResult",
     "SweepPoint",
+    "TrialColumns",
     "TrialResult",
     "calibrated_rule",
     "default_horizon_cap",
@@ -74,7 +70,6 @@ __all__ = [
     "summarize",
     "sweep_specs",
     "theoretical_asymptote",
-    "trial_contribs",
     "trial_generator",
 ]
 
@@ -86,6 +81,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 64
 _MIN_FIRST_BLOCK = 8  # below this, a draw's fixed cost outweighs the rows it saves
 _TRUNCATION_LIMIT = 0.05
+# Refuse specs whose worst case (every trial reaching the horizon) exceeds
+# this many steps: at about 10^5 steps/s per core, 10^10 steps is over a
+# day of work, e.g. "mu": 1e-3, whose default horizon is ~1.2e8 steps.
+_MAX_WORST_CASE_STEPS = 10**10
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 _ZERO_WORDS.flags.writeable = False
 
@@ -164,6 +163,12 @@ class ExperimentSpec:
                 f"mu={self.params.mu} is out of range: the theoretical mean sample size "
                 "is not a finite positive number"
             )
+        horizon = self.resolved_horizon_cap()
+        if self.replications * horizon > _MAX_WORST_CASE_STEPS:
+            raise ValueError(
+                f"worst case {self.replications} replications x {horizon} steps = "
+                f"{self.replications * horizon} steps exceeds the limit of {_MAX_WORST_CASE_STEPS} steps"
+            )
 
     def resolved_horizon_cap(self) -> int:
         if self.horizon_cap is not None:
@@ -204,67 +209,113 @@ class TrialResult:
             raise ValueError(f"stopping_time must be >= 1, got {self.stopping_time}")
 
 
-def _make_stepper(spec: ExperimentSpec) -> Stepper:
-    return spec.rule.stepper(calibrated_rule(spec), spec.params)
+class TrialColumns(NamedTuple):
+    """Per-trial results in trial-index order, one int64 column each: the
+    stopping time, the confusion counts of the rejected set, and 1 for a
+    trial the horizon cut off."""
+
+    T: array
+    V: array
+    W: array
+    R: array
+    truncated: array
+
+    @classmethod
+    def zeros(cls, n: int) -> TrialColumns:
+        return cls(*(array("q", [0]) * n for _ in cls._fields))
 
 
-def _simulate(
-    params: ModelParams, step: Stepper, rng: np.random.Generator, horizon: int, first_block: int
-) -> TrialResult:
-    stats = SufficientStats._trusted(0, (0.0,) * params.K)
-    n = 0
-    block = first_block
+# (generator, first block size) -> stopping time, rejected set (None if truncated);
+# a string, so that importing this module does not load numpy.random
+Trial: TypeAlias = "Callable[[np.random.Generator, int], tuple[int, frozenset[int] | None]]"
+
+
+def _blocks(draw: Callable[[int], list], horizon: int, first_block: int) -> Iterator[list]:
+    """``draw(count)`` for ``first_block`` rows, then ``_BLOCK`` at a time, ``horizon`` rows in all."""
+    n, block = 0, first_block
     while n < horizon:
-        rows = sample_block(params, rng, min(block, horizon - n)).tolist()
+        count = min(block, horizon - n)
+        yield draw(count)
+        n += count
         block = _BLOCK
-        for row in rows:
-            stats = update_stats(stats, row)
-            n += 1
-            decision = step(stats)
-            if decision.stopped:
-                assert decision.rejected is not None
-                return TrialResult(n, decision.rejected, False)
-    wrong = frozenset(range(1, params.K + 1)) - params.signal_set
-    return TrialResult(horizon, wrong, True)
+
+
+def _all_wrong(signal_set: frozenset[int], K: int) -> frozenset[int]:
+    """The rejected set a truncated trial is scored with."""
+    return frozenset(range(1, K + 1)) - signal_set
+
+
+def _rule_trial(spec: ExperimentSpec, horizon: int) -> Trial:
+    params, step = spec.params, spec.rule.stepper(calibrated_rule(spec), spec.params)
+
+    def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
+        stats = SufficientStats._trusted(0, (0.0,) * params.K)
+        for rows in _blocks(lambda count: sample_block(params, rng, count).tolist(), horizon, first_block):
+            for row in rows:
+                stats = update_stats(stats, row)
+                decision = step(stats)
+                if decision.stopped:
+                    return stats.n, decision.rejected
+        return horizon, None
+
+    return trial
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     """Simulate one trial; pure function of (spec, trial_index)."""
     rng = trial_generator(spec.master_seed, trial_index)
-    return _simulate(spec.params, _make_stepper(spec), rng, spec.resolved_horizon_cap(), _BLOCK)
+    n, rejected = _rule_trial(spec, spec.resolved_horizon_cap())(rng, _BLOCK)
+    if rejected is None:
+        return TrialResult(n, _all_wrong(spec.params.signal_set, spec.params.K), True)
+    return TrialResult(n, rejected, False)
 
 
-def _run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
-    step = _make_stepper(spec)
-    horizon = spec.resolved_horizon_cap()
-    rng = None
-    first_block = _BLOCK
-    steps = 0
-    results: list[TrialResult] = []
-    for i in range(start, stop):
-        rng = trial_generator(spec.master_seed, i, rng)
-        trial = _simulate(spec.params, step, rng, horizon, first_block)
-        results.append(trial)
+def _run_trials(
+    master_seed: int, start: int, stop: int, trial: Trial, signal_set: frozenset[int], K: int
+) -> TrialColumns:
+    """The trial loop: trials ``start`` to ``stop - 1`` as columns."""
+    columns = TrialColumns.zeros(stop - start)
+    T, V, W, R, truncated = columns
+    wrong = _all_wrong(signal_set, K)
+    scored: dict[frozenset[int], tuple[int, int, int]] = {}
+    rng, first_block, steps = None, _BLOCK, 0
+    for j in range(stop - start):
+        rng = trial_generator(master_seed, start + j, rng)
+        n, rejected = trial(rng, first_block)
+        if rejected is None:
+            rejected = wrong
+            truncated[j] = 1
+        counts = scored.get(rejected)
+        if counts is None:  # V, W, R depend only on the rejected set
+            c = confusion(rejected, signal_set, K)
+            counts = scored[rejected] = (c.V, c.W, c.R)
+        T[j] = n
+        V[j], W[j], R[j] = counts
         # twice the mean stopping time so far covers most trials in one draw
-        steps += trial.stopping_time
-        first_block = min(_BLOCK, max(_MIN_FIRST_BLOCK, math.ceil(2 * steps / len(results))))
-    return results
+        steps += n
+        first_block = min(_BLOCK, max(_MIN_FIRST_BLOCK, math.ceil(2 * steps / (j + 1))))
+    return columns
 
 
-def _run_all_trials(spec: ExperimentSpec, workers: int) -> list[TrialResult]:
+def _run_chunk(spec: ExperimentSpec, start: int, stop: int) -> TrialColumns:
+    trial = _rule_trial(spec, spec.resolved_horizon_cap())
+    return _run_trials(spec.master_seed, start, stop, trial, spec.params.signal_set, spec.params.K)
+
+
+def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = spec.replications
     if workers == 1 or n < 2 * _BLOCK:
         return _run_chunk(spec, 0, n)
     chunk = max(_BLOCK, math.ceil(n / (4 * workers)))
-    starts = list(range(0, n, chunk))
+    columns = TrialColumns.zeros(n)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_chunk, spec, s, min(s + chunk, n)) for s in starts]
-        results: list[TrialResult] = []
-        for fut in futures:  # submission order == trial-index order
-            results.extend(fut.result())
-    return results
+        futures = {s: pool.submit(_run_chunk, spec, s, min(s + chunk, n)) for s in range(0, n, chunk)}
+        for s, fut in futures.items():
+            for column, part in zip(columns, fut.result()):
+                column[s:s + len(part)] = part
+    return columns
 
 
 @dataclass(frozen=True)
@@ -286,33 +337,17 @@ class ExperimentSummary:
         return self.truncation_count <= _TRUNCATION_LIMIT * self.replications
 
 
-def trial_contribs(trial: TrialResult, params: ModelParams) -> TrialContribs:
-    """Metric contributions of one trial (truncated trials score as all-wrong)."""
-    counts = confusion(trial.rejected, params.signal_set, params.K)
-    return per_trial_contribs(counts)
-
-
-def summarize(spec: ExperimentSpec, trials: Sequence[TrialResult]) -> ExperimentSummary:
-    """Aggregate completed trials (in trial-index order) into a summary.
-
-    A trial's contributions depend only on its rejected set, so each
-    distinct set is scored once; ``aggregate`` still sees one entry per
-    trial, in the order given.
-    """
-    scored: dict[frozenset[int], TrialContribs] = {}
-    for t in trials:
-        if t.rejected not in scored:
-            scored[t.rejected] = trial_contribs(t, spec.params)
-    contribs = [scored[t.rejected] for t in trials]
-    time = sample_mean([t.stopping_time for t in trials])
+def summarize(spec: ExperimentSpec, trials: TrialColumns) -> ExperimentSummary:
+    """Aggregate completed trials (columns in trial-index order) into a summary."""
+    time = sample_mean(trials.T)
     asymptote = theoretical_asymptote(spec)
     return ExperimentSummary(
-        metrics=aggregate(contribs),
+        metrics=aggregate(trials.V, trials.W, trials.R, spec.params.K),
         mean_T=time.value,
         se_T=time.se,
         asymptote=asymptote,
         ratio=time.value / asymptote,
-        truncation_count=sum(1 for t in trials if t.truncated),
+        truncation_count=sum(trials.truncated),
         replications=spec.replications,
         master_seed=spec.master_seed,
     )
@@ -320,8 +355,8 @@ def summarize(spec: ExperimentSpec, trials: Sequence[TrialResult]) -> Experiment
 
 def run_experiment_with_trials(
     spec: ExperimentSpec, workers: int = 1
-) -> tuple[ExperimentSummary, list[TrialResult]]:
-    """Run all replications and return the summary plus per-trial results."""
+) -> tuple[ExperimentSummary, TrialColumns]:
+    """Run all replications and return the summary plus per-trial columns."""
     trials = _run_all_trials(spec, workers)
     return summarize(spec, trials), trials
 
@@ -446,12 +481,21 @@ class SprtMcResult:
     replications: int
 
 
-def _gaussian_increments(rng: np.random.Generator, mean: float, sd: float, horizon: int) -> Iterator[float]:
-    remaining = horizon
-    while remaining > 0:
-        block = mean + sd * rng.standard_normal(min(_BLOCK, remaining))
-        yield from block.tolist()
-        remaining -= block.shape[0]
+_STREAM_1 = frozenset({1})  # the SPRT's signal set under h1, and its rejected set on a rejection
+
+
+def _sprt_trial(config: SprtConfig, truth: Literal["h0", "h1"], horizon: int) -> Trial:
+    mean = config.theta0 if truth == "h0" else config.theta1
+    sd = math.sqrt(config.sigma2)
+
+    def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
+        draws = _blocks(lambda count: (mean + sd * rng.standard_normal(count)).tolist(), horizon, first_block)
+        outcome = run_sprt(config, chain.from_iterable(draws), horizon)
+        if isinstance(outcome, SprtTruncated):
+            return outcome.stopping_time, None
+        return outcome.stopping_time, _STREAM_1 if outcome.decision is SprtDecision.REJECT_H0 else frozenset()
+
+    return trial
 
 
 def sprt_error_mc(
@@ -465,36 +509,24 @@ def sprt_error_mc(
 
     ``truth`` selects the data-generating mean.  The error event is
     rejecting under h0 / accepting under h1; truncated runs count as
-    errors (conservative) and are also reported separately.
+    errors (conservative) and are also reported separately.  The runs go
+    through the harness's trial loop as one stream whose signal set is
+    empty under h0 and {1} under h1, so a run errs exactly when V + W > 0.
     """
     if truth not in ("h0", "h1"):
         raise ValueError(f"truth must be 'h0' or 'h1', got {truth!r}")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     horizon = horizon_cap if horizon_cap is not None else max(1000, math.ceil(50.0 * asn_asymptotic(config)))
-    mean = config.theta0 if truth == "h0" else config.theta1
-    sd = math.sqrt(config.sigma2)
-    wrong = SprtDecision.REJECT_H0 if truth == "h0" else SprtDecision.ACCEPT_H0
-    times = []
-    errors = []
-    truncations = 0
-    rng = None
-    for rep in range(replications):
-        rng = trial_generator(master_seed, rep, rng)
-        outcome = run_sprt(config, _gaussian_increments(rng, mean, sd, horizon), horizon)
-        times.append(outcome.stopping_time)
-        if isinstance(outcome, SprtOutcome):
-            errors.append(int(outcome.decision is wrong))
-        else:
-            truncations += 1
-            errors.append(1)
-    time = sample_mean(times)
-    error = binomial(errors)
+    signal_set = frozenset() if truth == "h0" else _STREAM_1
+    trials = _run_trials(master_seed, 0, replications, _sprt_trial(config, truth, horizon), signal_set, 1)
+    time = sample_mean(trials.T)
+    error = binomial(np.logical_or(trials.V, trials.W))  # V + W > 0, without an int64 temporary
     return SprtMcResult(
         mean_T=time.value,
         se_T=time.se,
         error_rate=error.value,
         error_se=error.se,
-        truncation_count=truncations,
+        truncation_count=sum(trials.truncated),
         replications=replications,
     )

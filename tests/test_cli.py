@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import stat
@@ -190,6 +191,9 @@ def test_load_config_errors(tmp_path):
         ('"mu": 1.0', '"mu": 1e400', "model.mu must be a finite number"),
         ('"mu": 1.0', '"mu": 1e-300', "mu=1e-300 is out of range"),
         ('"mu": 1.0', '"mu": 1e200', "mu=1e[+]200 is out of range"),
+        # a default horizon of 115,129,255 steps per trial, 120 trials
+        ('"mu": 1.0', '"mu": 1e-3', "worst case 120 replications x 115129255 steps = 13815510600 "
+                                    "steps exceeds the limit of 10000000000 steps"),
     ],
 )
 def test_config_rejects_non_finite_duplicate_and_extreme_values(tmp_path, capsys, old, new, fragment):
@@ -465,7 +469,9 @@ GI_CONFIG = {
      "error: alpha_grid entry -0.5: alpha must be in (0, 1), got -0.5"),
     (base_config(**GI_CONFIG, sweep={"rho_grid": [0.0, 0.2]}),
      "error: rho_grid entry 0.2: the gap-intersection baseline is calibrated for independent streams"),
-], ids=["rho", "alpha", "gi-rho"])
+    (base_config(model={"K": 4, "rho": 0.5, "mu": 0.01}, sweep={"alpha_grid": [0.01, 1e-300]}),
+     "error: alpha_grid entry 1e-300: worst case 120 replications x "),
+], ids=["rho", "alpha", "gi-rho", "alpha-budget"])
 def test_sweep_rejects_a_bad_grid_point_before_any_runs(tmp_path, monkeypatch, capsys, doc, message):
     monkeypatch.setattr(montecarlo, "run_experiment", _refuse_to_run)
     cfg = write_config(tmp_path, doc)
@@ -535,8 +541,16 @@ def test_readme_library_import_line():
         text for text in readme.read_text().splitlines() if text.startswith("from seqgap import")
     )
     exec(line, {})
-    for name in seqgap.__all__:
-        assert hasattr(seqgap, name), name
+
+
+@pytest.mark.parametrize("module", ["seqgap"] + [
+    f"seqgap.{name}" for name in ("model", "rules", "montecarlo", "metrics", "sprt", "config", "cli")
+])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.__all__ names {name!r}, which is not defined"
 
 
 def test_undefined_conditional_serialization(tmp_path):

@@ -11,6 +11,7 @@ import csv
 import inspect
 import io
 import sys
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -19,8 +20,9 @@ import seqgap.metrics as metrics
 import seqgap.model as model
 import seqgap.montecarlo as montecarlo
 import seqgap.rules as rules
+import seqgap.sprt as sprt
 from seqgap.cli import TRIAL_DUMP_SCHEMA, write_trial_dump
-from seqgap.metrics import aggregate, confusion
+from seqgap.metrics import Estimate, MetricEstimates, binomial, confusion
 from seqgap.model import (
     ModelParams,
     ObservationBatch,
@@ -34,11 +36,13 @@ from seqgap.montecarlo import (
     GapRuleSpec,
     GiRuleSpec,
     MaxGapRuleSpec,
+    TrialColumns,
     TrialResult,
     run_experiment_with_trials,
+    run_trial,
     sample_mean,
+    sprt_error_mc,
     summarize,
-    trial_contribs,
 )
 from seqgap.rules import (
     CONTINUE,
@@ -292,14 +296,49 @@ def trial_lists(draw):
     return spec, trials
 
 
+def _columns(spec, trials):
+    """Trial results as the harness's columns, scored one trial at a time."""
+    rows = []
+    for trial in trials:
+        counts = confusion(trial.rejected, spec.params.signal_set, spec.params.K)
+        rows.append((trial.stopping_time, counts.V, counts.W, counts.R, trial.truncated))
+    return TrialColumns(*(array("q", column) for column in zip(*rows)))
+
+
+def _reference_metrics(spec, trials):
+    """Per-trial proportions and indicators in Python floats, summed in order."""
+    K = spec.params.K
+    counts = [confusion(t.rejected, spec.params.signal_set, K) for t in trials]
+    fdp = [c.V / max(c.R, 1) for c in counts]
+    fnp = [c.W / max(K - c.R, 1) for c in counts]
+
+    def conditional(values, qualifies):
+        kept = [x for x, q in zip(values, qualifies) if q]
+        return Estimate(sum(kept) / len(kept), None) if kept else Estimate(None, None, False)
+
+    return MetricEstimates(
+        fwer1=binomial([int(c.V >= 1) for c in counts]),
+        fwer2=binomial([int(c.W >= 1) for c in counts]),
+        pics=binomial([int(c.V + c.W > 0) for c in counts]),
+        fdr=sample_mean(fdp),
+        fnr=sample_mean(fnp),
+        pfdr=conditional(fdp, [c.R >= 1 for c in counts]),
+        pfnr=conditional(fnp, [K - c.R >= 1 for c in counts]),
+    )
+
+
 @given(trial_lists())
 def test_summarize_matches_per_trial_scoring(case):
     spec, trials = case
-    summary = summarize(spec, trials)
-    assert summary.metrics == aggregate([trial_contribs(t, spec.params) for t in trials])
+    summary = summarize(spec, _columns(spec, trials))
+    reference = _reference_metrics(spec, trials)
+    assert summary.metrics == reference
+    # repr: the report's cell format, and exact for every float
+    assert repr(summary.metrics) == repr(reference)
     time = sample_mean([t.stopping_time for t in trials])
     assert (summary.mean_T, summary.se_T) == (time.value, time.se)
     assert summary.truncation_count == sum(t.truncated for t in trials)
+    assert type(summary.truncation_count) is int
 
 
 @given(trial_lists())
@@ -313,7 +352,7 @@ def test_trial_dump_matches_csv_writer(case):
         writer.writerow([index, trial.stopping_time, counts.V, counts.W, counts.R,
                          "true" if trial.truncated else "false"])
     out = io.StringIO()
-    write_trial_dump(out, spec, trials)
+    write_trial_dump(out, _columns(spec, trials))
     assert out.getvalue() == reference.getvalue()
 
 
@@ -325,6 +364,7 @@ COUNTED = {
     "gap_rule_step": rules, "maxgap_rule_step": rules, "gi_rule_step": rules,
     "update_stats": model, "llr_star": model, "ordered_sums": model,
     "trial_generator": montecarlo, "confusion": metrics,
+    "run_sprt": sprt, "sprt_step": sprt,
 }
 
 TRACED_SPECS = {
@@ -365,17 +405,57 @@ def _count_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kind", sorted(TRACED_SPECS))
+def _sprt_trace_counts(calls):
+    reps = 200
+    result = sprt_error_mc(sprt.SprtConfig(0.0, 1.0, 1.0, 0.01, 0.01), "h1", reps,
+                           master_seed=3, horizon_cap=12)  # some runs truncate
+    assert 0 < result.truncation_count < reps
+    assert calls["run_sprt"] == reps
+    assert calls["sprt_step"] == round(result.mean_T * reps)  # the sum of stopping times
+    assert calls["trial_generator"] == reps
+    # two outcomes: reject ({1}) and accept or truncated (both the empty set under h1)
+    assert calls["confusion"] == 2
+
+
+@pytest.mark.parametrize("kind", sorted(TRACED_SPECS) + ["sprt"])
 def test_trace_contract_counts(monkeypatch, kind):
+    if kind == "sprt":
+        return _sprt_trace_counts(_count_calls(monkeypatch))
     spec = TRACED_SPECS[kind]
+    reference = [run_trial(spec, i) for i in range(spec.replications)]
     calls = _count_calls(monkeypatch)
     _, trials = run_experiment_with_trials(spec)
-    steps = sum(t.stopping_time for t in trials)
-    assert any(t.truncated for t in trials) and not all(t.truncated for t in trials)
+    assert list(trials.T) == [t.stopping_time for t in reference]
+    steps = sum(trials.T)
+    assert any(trials.truncated) and not all(trials.truncated)
     assert calls[f"{kind}_rule_step"] == steps
     assert calls["update_stats"] == steps
     assert calls["llr_star"] == (spec.params.K * steps if kind == "gi" else 0)
     assert calls["ordered_sums"] == (0 if kind == "gi" else steps)
     assert calls["trial_generator"] == spec.replications
-    # summarize scores each distinct rejected set once
-    assert calls["confusion"] == len({t.rejected for t in trials})
+    # one chunk here: the loop scores each distinct rejected set once per chunk
+    assert calls["confusion"] == len({t.rejected for t in reference})
+    assert calls["run_sprt"] == calls["sprt_step"] == 0
+
+
+@given(st.lists(st.integers(-40, 40), min_size=2, max_size=8), st.integers(-10**6, 10**6),
+       st.integers(1, 50), st.data())
+def test_adding_c_n_to_every_sum_keeps_gap_and_maxgap_decisions(values, c, n, data):
+    """A common drift c per step moves every sum by c * n and no gap.
+
+    Whole-number sums and c keep every float addition exact.
+    """
+    K = len(values)
+    stats = SufficientStats(n, tuple(float(v) for v in values))
+    shifted = SufficientStats(n, tuple(float(v + c * n) for v in values))
+    level = threshold(list(stats.sums), data)
+    gap_cfg = GapRuleConfig(m=data.draw(st.integers(1, K - 1)), alpha=0.01, beta=0.01,
+                            c1_adjust=1.0, c=1.0, G=level)
+    assert gap_rule_step(shifted, gap_cfg) == gap_rule_step(stats, gap_cfg)
+    if K >= 3:
+        l = data.draw(st.integers(1, K - 2))
+        maxgap_cfg = MaxGapRuleConfig(
+            l=l, u=data.draw(st.integers(l + 1, K - 1)), alpha=0.01, beta=0.01, c1_adjust=1.0,
+            variant=VARIANT_SQRT2, base=level, slope=data.draw(st.sampled_from([0.0, 0.5])),
+        )
+        assert maxgap_rule_step(shifted, maxgap_cfg) == maxgap_rule_step(stats, maxgap_cfg)

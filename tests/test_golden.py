@@ -1,17 +1,21 @@
-"""Byte-level pins of the calibrate printout and both report formats, one
-config per rule kind.
+"""Byte-level pins of the calibrate printout, both report formats and the
+trial dump, one config per rule kind, and exact pins of the SPRT's Monte
+Carlo estimates.
 
 Any change to these bytes is a change to the published outputs and must
 come with a bump of GENERATOR_ID or the report schema; a refactor must
 leave every pin as it is.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from seqgap.cli import main
+from seqgap.montecarlo import sprt_error_mc
+from seqgap.sprt import SprtConfig
 
 CONFIGS = {
     "gap": {
@@ -47,13 +51,22 @@ PINS = {
     ),
 }
 
+# sha256 of the trial dump written beside the CSV report
+DUMP_PINS = {
+    "gap": "d3cec2eaaa232d54f47376199c40fad762c467a68c5d439e4aba7b626b52d9ea",
+    "maxgap": "ed4facd1988f9c74828d8c9bcb0df7bf24c83124748b991cd268eb51e615c797",
+    "gi": "489d1a168f3b80aa10b903bad5027d1f1d73f22c9cd9b3da685f79cee90b7601",
+}
+
+# the gap config's dump at --horizon 3, where most trials truncate
+TRUNCATED_DUMP_PIN = "5a773634819ce459b8cb77318ec30f663a13f74fd7fa3cb65674fa9b33f71630"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("kind", sorted(CONFIGS))
-def test_output_bytes_are_pinned(tmp_path, capsys, kind):
+def _write_config(tmp_path, kind):
     doc = dict(
         CONFIGS[kind],
         targets={"alpha": 0.01, "beta": 0.01},
@@ -61,6 +74,12 @@ def test_output_bytes_are_pinned(tmp_path, capsys, kind):
     )
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_output_bytes_are_pinned(tmp_path, capsys, kind):
+    cfg = _write_config(tmp_path, kind)
     capsys.readouterr()
     assert main(["calibrate", "--config", str(cfg)]) == 0
     calibrate_out = capsys.readouterr().out.encode("utf-8")
@@ -69,3 +88,49 @@ def test_output_bytes_are_pinned(tmp_path, capsys, kind):
     assert main(["simulate", "--config", str(cfg), "--out", str(out_json), "--format", "json"]) == 0
     got = (_sha256(calibrate_out), _sha256(out_csv.read_bytes()), _sha256(out_json.read_bytes()))
     assert got == PINS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_trial_dump_bytes_are_pinned(tmp_path, kind):
+    cfg = _write_config(tmp_path, kind)
+    dump = tmp_path / "trials.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+                 "--trial-dump", str(dump)]) == 0
+    assert _sha256(dump.read_bytes()) == DUMP_PINS[kind]
+
+
+def test_truncated_trial_dump_bytes_are_pinned(tmp_path):
+    cfg = _write_config(tmp_path, "gap")
+    dump = tmp_path / "trials.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+                 "--trial-dump", str(dump), "--horizon", "3"]) == 2  # unreliable
+    assert ",2,2,2,true\n" in dump.read_text()  # a truncated row scores all wrong
+    assert _sha256(dump.read_bytes()) == TRUNCATED_DUMP_PIN
+
+
+SYMMETRIC = SprtConfig(0.0, 1.0, 1.0, 0.01, 0.01)
+SPRT_PINS = [
+    ((SYMMETRIC, "h0", 2000, 11), {
+        "mean_T": 10.5935, "se_T": 0.1400408318751931, "error_rate": 0.006,
+        "error_se": 0.0017268468374467957, "truncation_count": 0, "replications": 2000,
+    }),
+    ((SYMMETRIC, "h1", 2000, 12), {
+        "mean_T": 10.4895, "se_T": 0.1396072704768095, "error_rate": 0.0055,
+        "error_se": 0.0016537457482938543, "truncation_count": 0, "replications": 2000,
+    }),
+    ((SprtConfig(0.0, 1.0, 1.0, 0.01, 0.0), "h1", 2000, 13), {  # one-sided
+        "mean_T": 10.243, "se_T": 0.1338989916690378, "error_rate": 0.0,
+        "error_se": 0.0, "truncation_count": 0, "replications": 2000,
+    }),
+    ((SYMMETRIC, "h1", 2000, 14, 5), {  # a 5-step horizon truncates most runs
+        "mean_T": 4.838, "se_T": 0.011110342922697445, "error_rate": 0.804,
+        "error_se": 0.00887648579112252, "truncation_count": 1605, "replications": 2000,
+    }),
+]
+
+
+@pytest.mark.parametrize("args, pinned", SPRT_PINS, ids=["h0", "h1", "one-sided", "truncated"])
+def test_sprt_estimates_are_pinned(args, pinned):
+    got = dataclasses.asdict(sprt_error_mc(*args))
+    assert got == pinned
+    assert all(type(got[k]) is type(v) for k, v in pinned.items())

@@ -5,11 +5,20 @@ from hypothesis.strategies import composite
 from seqgap.metrics import (
     ConfusionCounts,
     Estimate,
-    TrialContribs,
     aggregate,
     confusion,
-    per_trial_contribs,
 )
+
+
+def one_trial(counts):
+    """Metric estimates of a single trial: its proportions and indicators."""
+    return aggregate([counts.V], [counts.W], [counts.R], counts.K)
+
+
+def columns(count_list):
+    """V, W, R columns and K of (V, W, R, K) tuples sharing one K."""
+    v, w, r, k = zip(*count_list)
+    return list(v), list(w), list(r), k[0]
 
 
 def test_confusion_example():
@@ -20,9 +29,9 @@ def test_confusion_example():
 def test_confusion_perfect_selection():
     counts = confusion({2, 4}, {2, 4}, K=5)
     assert (counts.V, counts.W, counts.R) == (0, 0, 2)
-    contribs = per_trial_contribs(counts)
-    assert contribs.fdp == 0.0
-    assert contribs.incorrect_selection == 0
+    est = one_trial(counts)
+    assert est.fdr.value == 0.0
+    assert est.pics.value == 0.0
 
 
 def test_confusion_rejects_out_of_range_streams():
@@ -44,22 +53,22 @@ def test_confusion_counts_invariants():
 
 
 def test_empty_rejection_contribs():
-    contribs = per_trial_contribs(confusion(set(), {1, 2}, K=4))
-    assert contribs.fdp == 0.0  # guarded denominator
-    assert contribs.fnp == 0.5
-    assert contribs.r_positive == 0
+    est = one_trial(confusion(set(), {1, 2}, K=4))
+    assert est.fdr.value == 0.0  # guarded denominator
+    assert est.fnr.value == 0.5
+    assert not est.pfdr.defined  # no rejection: pFDR has no qualifying trial
 
 
 def test_full_rejection_contribs():
-    contribs = per_trial_contribs(confusion({1, 2, 3}, {1}, K=3))
-    assert contribs.fdp == pytest.approx(2 / 3)
-    assert contribs.fnp == 0.0  # K - R = 0, guarded
-    assert contribs.k_minus_r_positive == 0
+    est = one_trial(confusion({1, 2, 3}, {1}, K=3))
+    assert est.fdr.value == pytest.approx(2 / 3)
+    assert est.fnr.value == 0.0  # K - R = 0, guarded
+    assert not est.pfnr.defined  # nothing accepted: pFNR has no qualifying trial
 
 
 @composite
-def valid_counts(draw):
-    k = draw(st.integers(2, 8))
+def valid_counts(draw, k=None):
+    k = draw(st.integers(2, 8)) if k is None else k
     r = draw(st.integers(0, k))
     v = draw(st.integers(0, r))
     w = draw(st.integers(0, k - r))  # misses are confined to accepted streams
@@ -70,58 +79,56 @@ def valid_counts(draw):
 def test_sandwich_inequalities(vwrk):
     """Proportions are bracketed by the familywise indicators over K."""
     v, w, r, k = vwrk
-    contribs = per_trial_contribs(ConfusionCounts(V=v, W=w, R=r, K=k))
-    assert contribs.fdp <= contribs.any_false_rej
-    assert contribs.fnp <= contribs.any_false_acc
-    assert contribs.fdp >= contribs.any_false_rej / k
-    assert contribs.fnp >= contribs.any_false_acc / k
+    est = one_trial(ConfusionCounts(V=v, W=w, R=r, K=k))
+    assert est.fdr.value <= est.fwer1.value
+    assert est.fnr.value <= est.fwer2.value
+    assert est.fdr.value >= est.fwer1.value / k
+    assert est.fnr.value >= est.fwer2.value / k
 
 
-@given(st.lists(valid_counts(), min_size=1, max_size=50))
+@composite
+def count_lists(draw):
+    k = draw(st.integers(2, 8))
+    return draw(st.lists(valid_counts(k), min_size=1, max_size=50))
+
+
+@given(count_lists())
 def test_aggregated_proportions_below_familywise_rates(count_list):
-    contribs = [per_trial_contribs(ConfusionCounts(*c)) for c in count_list]
-    est = aggregate(contribs)
+    est = aggregate(*columns(count_list))
     assert est.fdr.value <= est.fwer1.value + 1e-12
     assert est.fnr.value <= est.fwer2.value + 1e-12
 
 
-def _contrib(fdp=0.0, r_pos=1):
-    return TrialContribs(
-        fdp=fdp, fnp=0.0, any_false_rej=int(fdp > 0), any_false_acc=0,
-        incorrect_selection=int(fdp > 0), r_positive=r_pos, k_minus_r_positive=1,
-    )
-
-
 def test_binomial_se():
-    est = aggregate([_contrib(1.0), _contrib(0.0), _contrib(0.0), _contrib(1.0)])
+    # two trials with a false rejection (V = R = 1) and two without
+    est = aggregate([1, 0, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1], 2)
     assert est.fwer1 == Estimate(value=0.5, se=0.25)
 
 
 def test_sample_mean_se():
-    est = aggregate([_contrib(0.0), _contrib(1.0)])
+    est = aggregate([0, 1], [0, 0], [1, 1], 2)  # fdp 0 and 1
     assert est.fdr.value == 0.5
     assert est.fdr.se == 0.5  # sqrt(var/n) with ddof=1
 
 
 def test_conditional_estimator_ratio_of_sums():
     # qualifying trials contribute 0.5 and 0; the no-rejection trial is excluded
-    contribs = [_contrib(0.5), _contrib(0.0), _contrib(0.0, r_pos=0)]
-    est = aggregate(contribs)
+    est = aggregate([1, 0, 0], [0, 0, 0], [2, 1, 0], 3)
     assert est.pfdr == Estimate(value=0.25, se=None)
 
 
 def test_conditional_estimator_undefined_without_qualifying_trials():
-    est = aggregate([_contrib(0.0, r_pos=0), _contrib(0.0, r_pos=0)])
+    est = aggregate([0, 0], [0, 0], [0, 0], 2)
     assert est.pfdr == Estimate(value=None, se=None, defined=False)
     assert est.pfdr.value is None  # undefined, never reported as zero
 
 
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        aggregate([])
+        aggregate([], [], [], 4)
 
 
 def test_single_trial_aggregation():
-    est = aggregate([_contrib(0.0)])
+    est = aggregate([0], [0], [1], 2)
     assert est.fdr.se == 0.0
     assert est.fwer1.se == 0.0

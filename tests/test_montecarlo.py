@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from seqgap.montecarlo import (
     GapRuleSpec,
     GiRuleSpec,
     MaxGapRuleSpec,
-    TrialResult,
+    TrialColumns,
     default_horizon_cap,
     derive_trial_seed,
     matched_sprt_config,
@@ -24,8 +25,9 @@ from seqgap.montecarlo import (
     theoretical_asymptote,
     trial_generator,
 )
+from seqgap.metrics import confusion
 from seqgap.rules import RULE_KINDS
-from seqgap.sprt import asn_asymptotic
+from seqgap.sprt import SprtConfig, asn_asymptotic
 
 
 def gap_spec(alpha=0.01, beta=None, rho=0.5, reps=200, seed=1234, K=4, m=2, **kwargs):
@@ -232,24 +234,51 @@ def test_gi_trial_runs_at_rho_zero():
         assert trial.truncated or 1 <= len(trial.rejected) <= 3
 
 
-@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+def _columns(outcomes, signal_set, K):
+    """Columns of (stopping time, rejected set or None if truncated) pairs, scored one by one."""
+    wrong = frozenset(range(1, K + 1)) - signal_set
+    rows = []
+    for n, rejected in outcomes:
+        counts = confusion(wrong if rejected is None else rejected, signal_set, K)
+        rows.append((n, counts.V, counts.W, counts.R, rejected is None))
+    return TrialColumns(*(array("q", column) for column in zip(*rows)))
+
+
+SPRT_CONFIG = SprtConfig(0.0, 1.0, 1.0, 0.01, 0.01)
+
+
+def _trial_source(kind, reps):
+    """Master seed, trial function for a given horizon, default horizon, signal set and K."""
+    if kind == "sprt":  # the one-stream source, under h1
+        make = lambda horizon: montecarlo._sprt_trial(SPRT_CONFIG, "h1", horizon)
+        return 1234, make, 1000, frozenset({1}), 1
+    spec = kind_spec(kind, reps)
+    make = lambda horizon: montecarlo._rule_trial(spec, horizon)
+    return spec.master_seed, make, spec.resolved_horizon_cap(), spec.params.signal_set, spec.params.K
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS) + ["sprt"])
 def test_trial_result_does_not_depend_on_block_schedule(kind):
-    spec = kind_spec(kind, reps=60)
-    step = montecarlo._make_stepper(spec)
-    outcomes = set()
-    for horizon in (4, spec.resolved_horizon_cap()):  # 4: shorter than most blocks
-        for i in range(spec.replications):
-            results = {
-                montecarlo._simulate(spec.params, step, trial_generator(spec.master_seed, i), horizon, first)
-                for first in (1, 3, 8, 64)
-            }
+    reps = 60
+    seed, make_trial, default_horizon, signal_set, K = _trial_source(kind, reps)
+    truncated = set()
+    for horizon in (4, default_horizon):  # 4: shorter than most blocks
+        trial = make_trial(horizon)
+        for i in range(reps):
+            results = {trial(trial_generator(seed, i), first) for first in (1, 3, 8, 64)}
             assert len(results) == 1
-            outcomes.add(results.pop().truncated)
-    assert outcomes == {False, True}
-    # a chunk rekeys one generator and sizes first blocks from its stopping
+            truncated.add(results.pop()[1] is None)
+    assert truncated == {False, True}
+    # the loop rekeys one generator and sizes first blocks from its stopping
     # times; each trial still equals the one run on its own
-    chunk = montecarlo._run_chunk(spec, 0, spec.replications)
-    assert chunk == [run_trial(spec, i) for i in range(spec.replications)]
+    trial = make_trial(default_horizon)
+    alone = [trial(trial_generator(seed, i), 64) for i in range(reps)]
+    assert montecarlo._run_trials(seed, 0, reps, trial, signal_set, K) == _columns(alone, signal_set, K)
+    if kind != "sprt":
+        spec = kind_spec(kind, reps)
+        reference = [run_trial(spec, i) for i in range(reps)]
+        assert [(t.stopping_time, t.rejected) for t in reference] == alone
+        assert montecarlo._run_chunk(spec, 0, reps) == _columns(alone, signal_set, K)
 
 
 def test_truncated_trial_scores_all_wrong():
@@ -281,11 +310,9 @@ def test_parallel_equals_serial(kind):
 def test_experiment_summary_contents():
     spec = gap_spec(reps=400)
     summary, trials = run_experiment_with_trials(spec)
-    assert len(trials) == 400
+    assert all(len(column) == 400 for column in trials)
     assert summary.replications == 400
-    assert summary.mean_T == pytest.approx(
-        sum(t.stopping_time for t in trials) / 400, rel=1e-12
-    )
+    assert summary.mean_T == pytest.approx(sum(trials.T) / 400, rel=1e-12)
     assert summary.ratio == pytest.approx(summary.mean_T / summary.asymptote, rel=1e-12)
     assert summary.truncation_count == 0
     assert summary.reliable
@@ -293,10 +320,7 @@ def test_experiment_summary_contents():
 
 def test_summarize_time_moments():
     spec = gap_spec(reps=2)
-    trials = [
-        TrialResult(2, frozenset({1, 2}), False),
-        TrialResult(4, frozenset({1, 2}), False),
-    ]
+    trials = _columns([(2, frozenset({1, 2})), (4, frozenset({1, 2}))], spec.params.signal_set, 4)
     summary = summarize(spec, trials)
     assert summary.mean_T == 3.0
     assert summary.se_T == 1.0
