@@ -16,8 +16,8 @@ Stream indices are 1-based everywhere in the public API.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,10 +51,11 @@ class ModelParams:
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "signal_set", frozenset(int(i) for i in self.signal_set))
         validate_params(self)
-        # not a field: equality, hashing and repr stay those of the four fields
+        # not fields: equality, hashing and repr stay those of the four fields
         mean_row = self.mean_vector()
         mean_row.flags.writeable = False
         object.__setattr__(self, "_mean_row", mean_row)
+        object.__setattr__(self, "_llr_scale", self.mu / (1.0 - self.rho))
 
     def mean_vector(self) -> np.ndarray:
         """Per-stream means: mu on signal streams, 0 on noise streams."""
@@ -155,15 +156,24 @@ def update_stats(stats: SufficientStats, obs: ObservationBatch | Iterable[float]
     result skips the public constructor's re-validation.  A list or tuple
     row is read as it is; any other iterable is copied once.
     """
-    if isinstance(obs, ObservationBatch):
-        values = obs.values
-    elif isinstance(obs, (list, tuple)):
+    if isinstance(obs, (list, tuple)):
         values = obs
+    elif isinstance(obs, ObservationBatch):
+        values = obs.values
     else:
         values = tuple(obs)
-    if len(values) != len(stats.sums):
-        raise ValueError(f"observation length {len(values)} != K={stats.K}")
-    return SufficientStats._trusted(stats.n + 1, tuple(map(operator.add, stats.sums, values)))
+    sums = stats.sums
+    if len(values) != len(sums):
+        raise ValueError(f"observation length {len(values)} != K={len(sums)}")
+    # SufficientStats._trusted inlined: this runs once per step
+    result = object.__new__(SufficientStats)
+    fields = result.__dict__
+    fields["n"] = stats.n + 1
+    fields["sums"] = tuple(map(add, sums, values))
+    return result
+
+
+_SUM = itemgetter(1)
 
 
 def ordered_sums(stats: SufficientStats) -> list[tuple[int, float]]:
@@ -171,12 +181,11 @@ def ordered_sums(stats: SufficientStats) -> list[tuple[int, float]]:
 
     The fixed tie rule makes decisions reproducible under floating-point
     ties, which have probability zero in the model but do occur in tests.
-    Python's sort is stable under ``reverse=True``, so equal sums keep
-    their ascending stream order.
+    The pairs are built in stream order and sorted once by sum; Python's
+    sort is stable under ``reverse=True``, so equal sums keep their
+    ascending stream order.
     """
-    sums = stats.sums
-    order = sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
-    return [(i + 1, sums[i]) for i in order]
+    return sorted(enumerate(stats.sums, 1), key=_SUM, reverse=True)
 
 
 def gap_statistic(stats: SufficientStats, k: int) -> float:
@@ -193,9 +202,10 @@ def llr_star(stats: SufficientStats, i: int, params: ModelParams) -> float:
     The exact statistic would use the idiosyncratic (shared-factor-free)
     sums, which are unobservable; the observable S_i substitutes for them.
     Pairwise differences of the two versions agree in distribution, and the
-    stopping rules depend on differences only.
+    stopping rules depend on differences only.  The factor mu/(1-rho) is
+    computed once, when the params are built.
     """
     sums = stats.sums
     if not 1 <= i <= len(sums):
         raise ValueError(f"stream index must be in 1..{len(sums)}, got {i}")
-    return params.mu / (1.0 - params.rho) * (sums[i - 1] - stats.n * params.mu / 2.0)
+    return params._llr_scale * (sums[i - 1] - stats.n * params.mu / 2.0)

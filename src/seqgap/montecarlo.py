@@ -22,6 +22,7 @@ identities exact.  Over 5% truncations flag an experiment unreliable.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -80,6 +81,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 64
 _MIN_FIRST_BLOCK = 8  # below this, a draw's fixed cost outweighs the rows it saves
+_CHUNKS_PER_WORKER = 16
 _TRUNCATION_LIMIT = 0.05
 # Refuse specs whose worst case (every trial reaching the horizon) exceeds
 # this many steps: at about 10^5 steps/s per core, 10^10 steps is over a
@@ -302,16 +304,28 @@ def _run_chunk(spec: ExperimentSpec, start: int, stop: int) -> TrialColumns:
     return _run_trials(spec.master_seed, start, stop, trial, spec.params.signal_set, spec.params.K)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = spec.replications
     if workers == 1 or n < 2 * _BLOCK:
         return _run_chunk(spec, 0, n)
-    chunk = max(_BLOCK, math.ceil(n / (4 * workers)))
+    # a pool starts all its processes at the first submit: start no more
+    # than there are CPUs to run them on or chunks to give them
+    workers = min(workers, _usable_cpus())
+    # many small chunks keep every worker busy until the last ones finish
+    chunk = max(_BLOCK, math.ceil(n / (_CHUNKS_PER_WORKER * workers)))
+    starts = range(0, n, chunk)
     columns = TrialColumns.zeros(n)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {s: pool.submit(_run_chunk, spec, s, min(s + chunk, n)) for s in range(0, n, chunk)}
+    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        futures = {s: pool.submit(_run_chunk, spec, s, min(s + chunk, n)) for s in starts}
         for s, fut in futures.items():
             for column, part in zip(columns, fut.result()):
                 column[s:s + len(part)] = part

@@ -543,6 +543,12 @@ def test_readme_library_import_line():
     exec(line, {})
 
 
+def test_tests_import_this_checkout():
+    """``python -m pytest`` puts ``src/`` first on the path (pyproject's ``pythonpath``)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert Path(seqgap.__file__).resolve().is_relative_to(src)
+
+
 @pytest.mark.parametrize("module", ["seqgap"] + [
     f"seqgap.{name}" for name in ("model", "rules", "montecarlo", "metrics", "sprt", "config", "cli")
 ])

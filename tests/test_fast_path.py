@@ -102,11 +102,11 @@ def reference_gi_step(llrs, cfg):
     return StopDecision(True, frozenset(order[i] + 1 for i in range(p_prime)))
 
 
-def threshold(values, data):
+def threshold(values, draw):
     """A threshold that is often exactly one of the gaps, so >= is exercised."""
     ranked = sorted(values, reverse=True)
     gaps = [a - b for a, b in zip(ranked, ranked[1:]) if a - b > 0.0]
-    return data.draw(st.sampled_from(gaps) | positive if gaps else positive)
+    return draw(st.sampled_from(gaps) | positive if gaps else positive)
 
 
 @given(sums_lists)
@@ -120,22 +120,33 @@ def test_ordered_sums_matches_tuple_key_reference(values):
 def test_gap_step_matches_per_index_reference(values, data):
     stats = SufficientStats(data.draw(st.integers(1, 50)), tuple(values))
     m = data.draw(st.integers(1, len(values) - 1))
-    cfg = GapRuleConfig(m=m, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=threshold(values, data))
+    cfg = GapRuleConfig(m=m, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=threshold(values, data.draw))
     assert gap_rule_step(stats, cfg) == reference_gap_step(stats, cfg)
 
 
-@given(sums_lists.filter(lambda v: len(v) >= 3), st.data())
-def test_maxgap_step_matches_per_index_reference(values, data):
-    K = len(values)
-    l = data.draw(st.integers(1, K - 2))
-    u = data.draw(st.integers(l + 1, K - 1))  # u = l + 1 leaves no eligible index
-    n = data.draw(st.integers(1, 50))
-    slope = data.draw(st.sampled_from([0.0, 0.5]))
-    base = max(threshold(values, data) - slope * n, 1e-6)
-    cfg = MaxGapRuleConfig(
+def _maxgap_cfg(l, u, base, slope):
+    return MaxGapRuleConfig(
         l=l, u=u, alpha=0.01, beta=0.01, c1_adjust=1.0, variant=VARIANT_SQRT2, base=base, slope=slope,
     )
-    stats = SufficientStats(n, tuple(values))
+
+
+@st.composite
+def maxgap_cases(draw):
+    values = draw(sums_lists.filter(lambda v: len(v) >= 3))
+    K = len(values)
+    l = draw(st.integers(1, K - 2))
+    u = draw(st.integers(l + 1, K - 1))  # u = l + 1 leaves no eligible index
+    n = draw(st.integers(1, 50))
+    slope = draw(st.sampled_from([0.0, 0.5]))
+    base = max(threshold(values, draw) - slope * n, 1e-6)
+    return SufficientStats(n, tuple(values)), _maxgap_cfg(l, u, base, slope)
+
+
+@given(maxgap_cases())
+# eligible gaps 2 and 3 equal and at the threshold: the smaller index must win
+@example((SufficientStats(1, (9.0, 4.0, 3.0, 2.0, 0.0)), _maxgap_cfg(1, 4, base=1.0, slope=0.0)))
+def test_maxgap_step_matches_per_index_reference(case):
+    stats, cfg = case
     assert maxgap_rule_step(stats, cfg) == reference_maxgap_step(stats, cfg)
 
 
@@ -163,6 +174,17 @@ def _gi_case(llrs, l, u, a, b):
 @example(_gi_case([3.0, -2.0, -2.5, -3.0], 1, 2, a=2.0, b=3.0))  # p == l
 @example(_gi_case([4.0, 3.0, 2.5, -2.0, -3.0], 1, 3, a=2.0, b=2.5))  # p == u
 @example(_gi_case([4.0, 3.0, 2.5, 2.0, -3.0], 1, 3, a=2.0, b=2.0))  # p == u + 1
+# p == 0 beside a -0.0, and tau1 at equality: lam(2) == -a, lam(1) - lam(2) == c
+@example(([-0.0, -3.0, -1.5, -5.0], GIRuleConfig(l=1, u=2, a=1.5, b=1e3, c=1.5, d=1e3)))
+@example(([-0.0, -3.0, -1.5, -5.0], GIRuleConfig(l=1, u=2, a=1.5, b=1e3, c=1e3, d=1e3)))
+# p == K: every llr positive
+@example(([1.0, 3.0, 2.0, 0.5], GIRuleConfig(l=1, u=2, a=1e3, b=2.0, c=1e3, d=1e3)))
+# tau1 alone, at equality: lam(l) - lam(l+1) == c and lam(l+1) == -a
+@example(([0.5, -1.5, -2.0, -4.0], GIRuleConfig(l=1, u=2, a=1.5, b=1e3, c=2.0, d=1e3)))
+# tau3 alone, at equality: lam(u) == b and lam(u) - lam(u+1) == d
+@example(([4.0, 3.0, 2.0, -1.0, -2.0], GIRuleConfig(l=1, u=3, a=1e3, b=2.0, c=1e3, d=3.0)))
+# tau3 at equality with p == K
+@example(([1.0, 3.0, 2.0, 0.5], GIRuleConfig(l=1, u=2, a=1e3, b=2.0, c=1e3, d=1.0)))
 def test_gi_step_matches_tuple_key_reference(case):
     llrs, cfg = case
     assert gi_rule_step(llrs, cfg) == reference_gi_step(llrs, cfg)
@@ -255,7 +277,7 @@ def test_permuting_streams_permutes_gap_and_maxgap_rejections(values, data):
     perm = data.draw(st.permutations(range(K)))
     moved, rename = _permuted(values, perm)
     n = data.draw(st.integers(1, 50))
-    level = threshold(values, data)
+    level = threshold(values, data.draw)
     gap_cfg = GapRuleConfig(m=data.draw(st.integers(1, K - 1)), alpha=0.01, beta=0.01,
                             c1_adjust=1.0, c=1.0, G=level)
     l = data.draw(st.integers(0, K - 2))
@@ -448,7 +470,7 @@ def test_adding_c_n_to_every_sum_keeps_gap_and_maxgap_decisions(values, c, n, da
     K = len(values)
     stats = SufficientStats(n, tuple(float(v) for v in values))
     shifted = SufficientStats(n, tuple(float(v + c * n) for v in values))
-    level = threshold(list(stats.sums), data)
+    level = threshold(list(stats.sums), data.draw)
     gap_cfg = GapRuleConfig(m=data.draw(st.integers(1, K - 1)), alpha=0.01, beta=0.01,
                             c1_adjust=1.0, c=1.0, G=level)
     assert gap_rule_step(shifted, gap_cfg) == gap_rule_step(stats, gap_cfg)

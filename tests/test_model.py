@@ -134,18 +134,35 @@ def test_block_equals_repeated_increments_bitwise():
     assert block.tolist() == [list(row) for row in singles]
 
 
-@pytest.mark.parametrize("how", ["replaced", "pickled"])
-def test_block_means_follow_the_fields(how):
-    want = params(K=5, rho=0.3, signals=(2, 5))
+def _rebuilt(how, want):
+    """``want`` rebuilt by ``dataclasses.replace`` from other fields, or by a pickle round trip."""
     if how == "replaced":
-        p = replace(params(K=5, rho=0.1, mu=0.5), rho=0.3, mu=1.0, signal_set=frozenset({2, 5}))
+        p = replace(params(K=5, rho=0.1, mu=0.5), rho=want.rho, mu=want.mu, signal_set=want.signal_set)
     else:
         p = pickle.loads(pickle.dumps(want))
     assert p == want and hash(p) == hash(want) and repr(p) == repr(want)
+    return p
+
+
+@pytest.mark.parametrize("how", ["replaced", "pickled"])
+def test_block_means_follow_the_fields(how):
+    want = params(K=5, rho=0.3, signals=(2, 5))
+    p = _rebuilt(how, want)
     g1 = np.random.Generator(np.random.Philox(key=7))
     g2 = np.random.Generator(np.random.Philox(key=7))
     block = sample_block(p, g1, 6)
     assert block.tolist() == [list(sample_increment(want, g2).values) for _ in range(6)]
+
+
+@pytest.mark.parametrize("how", ["replaced", "pickled"])
+def test_llr_scale_follows_the_fields(how):
+    p = _rebuilt(how, params(K=5, rho=0.3, mu=1.25, signals=(2, 5)))
+    other = params(K=5, rho=0.1, mu=0.5)  # built later: a cache shared across params would show
+    s = SufficientStats(7, (3.5, -1.25, 0.1, 9.0, -0.0))
+    for q, mu, rho in ((p, 1.25, 0.3), (other, 0.5, 0.1)):
+        for i in range(1, 6):
+            want = mu / (1.0 - rho) * (s.sums[i - 1] - 7 * mu / 2.0)
+            assert repr(llr_star(s, i, q)) == repr(want)
 
 
 def test_sample_block_rejects_bad_count():

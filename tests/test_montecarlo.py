@@ -1,5 +1,6 @@
 import math
 from array import array
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -305,6 +306,39 @@ def test_parallel_equals_serial(kind):
     serial = run_experiment_with_trials(spec, workers=1)
     for workers in (2, 3):
         assert run_experiment_with_trials(spec, workers=workers) == serial
+
+
+@pytest.mark.parametrize("workers, cpus, pool_size", [
+    (5000, 3, 3),  # capped by the CPUs
+    (5000, 64, 4),  # capped by the chunks: 200 trials make 4 chunks of at most 64
+    (2, 64, 2),
+    (3, 1, 1),
+])
+def test_pool_size_is_capped(monkeypatch, workers, cpus, pool_size):
+    sizes = []
+
+    class InlinePool:
+        """Records ``max_workers`` and runs each chunk on submit, in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    spec = kind_spec("gap", reps=200)
+    assert run_experiment_with_trials(spec, workers=workers) == run_experiment_with_trials(spec)
+    assert sizes == [pool_size]
 
 
 def test_experiment_summary_contents():
