@@ -55,7 +55,16 @@ class ModelParams:
         mean_row = self.mean_vector()
         mean_row.flags.writeable = False
         object.__setattr__(self, "_mean_row", mean_row)
+        # sqrt(1 - rho) for the K idiosyncratic terms, then sqrt(rho) for the shared one
+        scale_row = np.full(self.K + 1, math.sqrt(1.0 - self.rho))
+        scale_row[self.K] = math.sqrt(self.rho)
+        scale_row.flags.writeable = False
+        object.__setattr__(self, "_scale_row", scale_row)
         object.__setattr__(self, "_llr_scale", self.mu / (1.0 - self.rho))
+
+    def __reduce__(self):
+        # rebuild from the fields: an unpickled array would come back writeable
+        return ModelParams, (self.K, self.rho, self.mu, self.signal_set)
 
     def mean_vector(self) -> np.ndarray:
         """Per-stream means: mu on signal streams, 0 on noise streams."""
@@ -140,13 +149,19 @@ def sample_block(params: ModelParams, rng: np.random.Generator, count: int) -> n
 
     Identical to ``count`` calls of :func:`sample_increment` on the same
     generator state: the standard-normal stream is consumed row by row in
-    the same (K idiosyncratic, 1 shared) order.
+    the same (K idiosyncratic, 1 shared) order.  The draws are scaled in
+    place by the cached ``(sqrt(1-rho),) * K + (sqrt(rho),)`` row; the
+    products are those of ``sample_increment`` and float addition commutes,
+    so every row is bit-identical.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    eps = rng.standard_normal((count, params.K + 1))
-    z = params._mean_row + math.sqrt(1.0 - params.rho) * eps[:, : params.K]
-    return z + math.sqrt(params.rho) * eps[:, params.K :]
+    K = params.K
+    eps = rng.standard_normal((count, K + 1))
+    eps *= params._scale_row
+    z = eps[:, :K]
+    z += params._mean_row
+    return z + eps[:, K:]
 
 
 def update_stats(stats: SufficientStats, obs: ObservationBatch | Iterable[float]) -> SufficientStats:
@@ -179,11 +194,12 @@ _SUM = itemgetter(1)
 def ordered_sums(stats: SufficientStats) -> list[tuple[int, float]]:
     """(stream, sum) pairs sorted by sum descending, ties by ascending stream.
 
-    The fixed tie rule makes decisions reproducible under floating-point
-    ties, which have probability zero in the model but do occur in tests.
-    The pairs are built in stream order and sorted once by sum; Python's
-    sort is stable under ``reverse=True``, so equal sums keep their
-    ascending stream order.
+    This is the reference for the tie rule; the rule steps are not built
+    on it (they sort the bare sums).  The fixed tie rule makes decisions
+    reproducible under floating-point ties, which have probability zero in
+    the model but do occur in tests.  The pairs are built in stream order
+    and sorted once by sum; Python's sort is stable under ``reverse=True``,
+    so equal sums keep their ascending stream order.
     """
     return sorted(enumerate(stats.sums, 1), key=_SUM, reverse=True)
 

@@ -232,32 +232,28 @@ class TrialColumns(NamedTuple):
 Trial: TypeAlias = "Callable[[np.random.Generator, int], tuple[int, frozenset[int] | None]]"
 
 
-def _blocks(draw: Callable[[int], list], horizon: int, first_block: int) -> Iterator[list]:
-    """``draw(count)`` for ``first_block`` rows, then ``_BLOCK`` at a time, ``horizon`` rows in all."""
-    n, block = 0, first_block
-    while n < horizon:
-        count = min(block, horizon - n)
-        yield draw(count)
-        n += count
-        block = _BLOCK
-
-
 def _all_wrong(signal_set: frozenset[int], K: int) -> frozenset[int]:
     """The rejected set a truncated trial is scored with."""
     return frozenset(range(1, K + 1)) - signal_set
 
 
 def _rule_trial(spec: ExperimentSpec, horizon: int) -> Trial:
-    params, step = spec.params, spec.rule.stepper(calibrated_rule(spec), spec.params)
+    params = spec.params
+    step, arg = spec.rule.stepper(calibrated_rule(spec), params)
+    start = SufficientStats._trusted(0, (0.0,) * params.K)
 
     def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
-        stats = SufficientStats._trusted(0, (0.0,) * params.K)
-        for rows in _blocks(lambda count: sample_block(params, rng, count).tolist(), horizon, first_block):
-            for row in rows:
+        # ``first_block`` rows, then ``_BLOCK`` at a time, ``horizon`` rows in all
+        stats, n, count = start, 0, first_block
+        while n < horizon:
+            count = min(count, horizon - n)
+            for row in sample_block(params, rng, count).tolist():
                 stats = update_stats(stats, row)
-                decision = step(stats)
+                decision = step(stats, arg)
                 if decision.stopped:
                     return stats.n, decision.rejected
+            n += count
+            count = _BLOCK
         return horizon, None
 
     return trial
@@ -498,12 +494,24 @@ class SprtMcResult:
 _STREAM_1 = frozenset({1})  # the SPRT's signal set under h1, and its rejected set on a rejection
 
 
+def _normal_blocks(
+    rng: np.random.Generator, mean: float, sd: float, horizon: int, first_block: int
+) -> Iterator[list[float]]:
+    """N(mean, sd^2) draws in blocks: ``first_block``, then ``_BLOCK`` at a time, ``horizon`` in all."""
+    n, count = 0, first_block
+    while n < horizon:
+        count = min(count, horizon - n)
+        yield (mean + sd * rng.standard_normal(count)).tolist()
+        n += count
+        count = _BLOCK
+
+
 def _sprt_trial(config: SprtConfig, truth: Literal["h0", "h1"], horizon: int) -> Trial:
     mean = config.theta0 if truth == "h0" else config.theta1
     sd = math.sqrt(config.sigma2)
 
     def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
-        draws = _blocks(lambda count: (mean + sd * rng.standard_normal(count)).tolist(), horizon, first_block)
+        draws = _normal_blocks(rng, mean, sd, horizon, first_block)
         outcome = run_sprt(config, chain.from_iterable(draws), horizon)
         if isinstance(outcome, SprtTruncated):
             return outcome.stopping_time, None

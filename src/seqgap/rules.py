@@ -31,9 +31,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, NamedTuple
+from operator import sub
+from typing import Any, Callable, ClassVar, NamedTuple
 
-from .model import ModelParams, SufficientStats, llr_star, ordered_sums
+from .model import ModelParams, SufficientStats, llr_star
 
 __all__ = [
     "GI_CORRELATED_UNSUPPORTED",
@@ -151,16 +152,32 @@ def calibrate_gap(
     return GapRuleConfig(m=m, alpha=alpha, beta=beta, c1_adjust=c1_adjust, c=c, G=G)
 
 
+def _top_streams(sums: tuple[float, ...], cut: float) -> frozenset[int]:
+    """The streams whose sum is at least ``cut``.
+
+    Called on a stop, where ``cut`` is the smallest of the top group and a
+    strictly positive gap separates it from the rest: no tie, and no 0.0
+    beside a -0.0, can straddle that gap, so these are exactly the top
+    streams of the tie rule in ``ordered_sums``.
+    """
+    return frozenset(i for i, s in enumerate(sums, 1) if s >= cut)
+
+
 def gap_rule_step(stats: SufficientStats, cfg: GapRuleConfig) -> StopDecision:
-    """Stop when the m-th ordered-sum gap reaches G; reject the top m streams."""
+    """Stop when the m-th ordered-sum gap reaches G; reject the top m streams.
+
+    The bare sums are sorted once, descending and without a key.
+    """
     if stats.n < 1:
         raise ValueError("rule stepping starts at n >= 1")
-    ranked = ordered_sums(stats)
+    sums = stats.sums
     m = cfg.m
-    if not 1 <= m < len(ranked):
-        raise ValueError(f"gap index must be in 1..{len(ranked) - 1}, got {m}")
-    if ranked[m - 1][1] - ranked[m][1] >= cfg.G:
-        return StopDecision._trusted(frozenset(i for i, _ in ranked[:m]))
+    if not 1 <= m < len(sums):
+        raise ValueError(f"gap index must be in 1..{len(sums) - 1}, got {m}")
+    ranked = sorted(sums, reverse=True)
+    cut = ranked[m - 1]
+    if cut - ranked[m] >= cfg.G:
+        return StopDecision._trusted(_top_streams(sums, cut))
     return CONTINUE
 
 
@@ -182,6 +199,8 @@ class MaxGapRuleConfig:
             raise ValueError(f"variant must be one of {MAXGAP_VARIANTS}, got {self.variant!r}")
         if self.base <= 0.0:
             raise ValueError(f"base must be > 0, got {self.base}")
+        if self.slope < 0.0:  # e(n) > 0 at every n, so every stop has a positive gap
+            raise ValueError(f"slope must be >= 0, got {self.slope}")
 
     def threshold_at(self, n: int) -> float:
         return self.base + self.slope * n
@@ -234,19 +253,20 @@ def maxgap_rule_step(stats: SufficientStats, cfg: MaxGapRuleConfig) -> StopDecis
 
     p is the maximizing gap index, smallest index on ties (the conservative
     choice: fewer rejections).  On every stop l < p < u by construction.
+    The bare sums are sorted once, descending and without a key.
     """
     if stats.n < 1:
         raise ValueError("rule stepping starts at n >= 1")
-    ranked = ordered_sums(stats)
+    sums = stats.sums
     l, u = cfg.l, cfg.u
-    if l < 0 or u > len(ranked):
-        raise ValueError(f"gap indices {l + 1}..{u - 1} must be in 1..{len(ranked) - 1}")
-    gaps = [ranked[i - 1][1] - ranked[i][1] for i in range(l + 1, u)]
+    if l < 0 or u > len(sums):
+        raise ValueError(f"gap indices {l + 1}..{u - 1} must be in 1..{len(sums) - 1}")
+    ranked = sorted(sums, reverse=True)
+    gaps = list(map(sub, ranked[l:u - 1], ranked[l + 1:u]))  # gap(i) for l < i < u
     if gaps:  # empty when u == l + 1: no eligible index, never stop
         best_gap = max(gaps)  # the first of equal maxima
-        if best_gap >= cfg.threshold_at(stats.n):
-            best_i = l + 1 + gaps.index(best_gap)
-            return StopDecision._trusted(frozenset(i for i, _ in ranked[:best_i]))
+        if best_gap >= cfg.base + cfg.slope * stats.n:  # e(n)
+            return StopDecision._trusted(_top_streams(sums, ranked[l + gaps.index(best_gap)]))
     return CONTINUE
 
 
@@ -344,10 +364,21 @@ def kl_numbers(params: ModelParams) -> KlNumbers:
     return KlNumbers(d0=d, d1=d, eta0=d, eta1=d)
 
 
-# The steppers look the step functions (and the GI stepper ``llr_star``) up
-# by module-global name at call time, so a profiler that rebinds those
-# names sees every call.
-Stepper = Callable[[SufficientStats], StopDecision]
+# A stepper is a (function, argument) pair: the trial loop calls
+# ``function(stats, argument)`` once per step.  ``stepper`` reads the
+# function by module-global name when it builds the pair, and ``_gi_step``
+# reads ``llr_star`` and ``gi_rule_step`` by name at call time, so a
+# profiler that rebinds those names before the pair is built sees every call.
+Stepper = tuple[Callable[[SufficientStats, Any], StopDecision], Any]
+
+
+def _gi_step(stats: SufficientStats, arg: tuple[GIRuleConfig, ModelParams, range]) -> StopDecision:
+    """One GI step from the sums: the K ``llr_star`` calls, then ``gi_rule_step``."""
+    cfg, params, streams = arg
+    # a comprehension, not map: CPython 3.11 runs a call from Python code in
+    # the caller's interpreter loop but enters a new loop for each call map
+    # makes (about 20% slower here at K=10)
+    return gi_rule_step([llr_star(stats, i, params) for i in streams], cfg)
 
 
 def _check_count_bounds(l: int, u: int, params: ModelParams) -> None:
@@ -387,7 +418,7 @@ class GapRuleSpec:
         return (1.0 - params.rho) / params.mu**2 * log_level
 
     def stepper(self, cfg: GapRuleConfig, params: ModelParams) -> Stepper:
-        return lambda stats: gap_rule_step(stats, cfg)
+        return gap_rule_step, cfg
 
     def calibration_lines(self, params: ModelParams, alpha: float, beta: float) -> list[str]:
         cfg = self.calibrate(params, alpha, beta)
@@ -423,7 +454,7 @@ class MaxGapRuleSpec:
         return 2.0 * (1.0 - params.rho) / params.mu**2 * log_level
 
     def stepper(self, cfg: MaxGapRuleConfig, params: ModelParams) -> Stepper:
-        return lambda stats: maxgap_rule_step(stats, cfg)
+        return maxgap_rule_step, cfg
 
     def calibration_lines(self, params: ModelParams, alpha: float, beta: float) -> list[str]:
         # show both threshold variants so their scale difference is visible
@@ -462,16 +493,7 @@ class GiRuleSpec:
         return log_level / (kl.eta0 + kl.eta1)
 
     def stepper(self, cfg: GIRuleConfig, params: ModelParams) -> Stepper:
-        streams = range(1, params.K + 1)
-
-        def gi_step(stats: SufficientStats) -> StopDecision:
-            # a comprehension, not map: CPython 3.11 runs a call from Python
-            # code in the caller's interpreter loop but enters a new loop for
-            # each call map makes (about 20% slower here at K=10)
-            llrs = [llr_star(stats, i, params) for i in streams]
-            return gi_rule_step(llrs, cfg)
-
-        return gi_step
+        return _gi_step, (cfg, params, range(1, params.K + 1))
 
     def calibration_lines(self, params: ModelParams, alpha: float, beta: float) -> list[str]:
         cfg = self.calibrate(params, alpha, beta)

@@ -44,7 +44,12 @@ class SprtDecision(enum.Enum):
 @dataclass(frozen=True)
 class SprtConfig:
     """Hypotheses, known variance, and target error levels gamma (type I),
-    delta (type II).  delta = 0 selects the one-sided test."""
+    delta (type II).  delta = 0 selects the one-sided test.
+
+    The boundaries are built once, with the config (not a field: equality,
+    hashing and repr stay those of the five fields; ``dataclasses.replace``
+    rebuilds them and pickle carries them).
+    """
 
     theta0: float
     theta1: float
@@ -53,6 +58,9 @@ class SprtConfig:
     delta: float = 0.05
 
     def __post_init__(self) -> None:
+        for name in ("theta0", "theta1", "sigma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.theta0 < self.theta1:
             raise ValueError(f"need theta0 < theta1, got {self.theta0} >= {self.theta1}")
         if not self.sigma2 > 0.0:
@@ -63,6 +71,25 @@ class SprtConfig:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
         if not self.gamma + self.delta < 1.0:
             raise ValueError(f"need gamma + delta < 1, got {self.gamma + self.delta}")
+        try:
+            kl = self.kl_rate
+        except OverflowError:
+            kl = math.inf
+        if not 0.0 < kl < math.inf:
+            raise ValueError(
+                f"the information number (theta1-theta0)^2/(2*sigma2) = {kl} for theta0={self.theta0}, "
+                f"theta1={self.theta1}, sigma2={self.sigma2} is not a finite positive number"
+            )
+        bounds = boundaries(self)
+        if not math.isfinite(bounds.a):
+            raise ValueError(f"boundary a = log((1-delta)/gamma) = {bounds.a} is not finite for gamma={self.gamma}")
+        if self.delta > 0.0 and not math.isfinite(bounds.b):
+            raise ValueError(f"boundary b = log(delta/(1-gamma)) = {bounds.b} is not finite for delta={self.delta}")
+        if not math.isfinite(asn_asymptotic(self)):
+            raise ValueError(
+                f"the asymptotic mean sample size is not finite: the information number {kl} is too small"
+            )
+        object.__setattr__(self, "_boundaries", bounds)
 
     @property
     def kl_rate(self) -> float:
@@ -79,13 +106,18 @@ class SprtBoundaries:
     sum_scale: float  # sigma2 / (theta1 - theta0)
     drift: float  # (theta1 + theta0) / 2
 
+    def __post_init__(self) -> None:
+        # not fields: the statistic's thresholds, built once for sprt_step
+        object.__setattr__(self, "_upper", self.a * self.sum_scale)
+        object.__setattr__(self, "_lower", self.b * self.sum_scale)
+
     def upper_sum_bound(self, n: int) -> float:
         """Raw-sum threshold for rejecting the null at time n."""
-        return n * self.drift + self.a * self.sum_scale
+        return n * self.drift + self._upper
 
     def lower_sum_bound(self, n: int) -> float:
         """Raw-sum threshold for accepting the null at time n (-inf if one-sided)."""
-        return n * self.drift + self.b * self.sum_scale
+        return n * self.drift + self._lower
 
 
 def boundaries(config: SprtConfig) -> SprtBoundaries:
@@ -109,9 +141,9 @@ def sprt_step(bounds: SprtBoundaries, config: SprtConfig, n: int, cum_sum: float
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     statistic = cum_sum - n * bounds.drift
-    if statistic >= bounds.a * bounds.sum_scale:
+    if statistic >= bounds._upper:
         return SprtDecision.REJECT_H0
-    if statistic <= bounds.b * bounds.sum_scale:
+    if statistic <= bounds._lower:
         return SprtDecision.ACCEPT_H0
     return SprtDecision.CONTINUE
 
@@ -149,7 +181,7 @@ def run_sprt(
     """
     if horizon_cap < 1:
         raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap}")
-    bounds = boundaries(config)
+    bounds = config._boundaries
     n = 0
     cum_sum = 0.0
     for u in increments:

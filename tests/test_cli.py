@@ -3,6 +3,8 @@ import importlib
 import json
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -421,6 +423,27 @@ def test_sprt_asn_invalid_config(capsys):
     assert run_cli(["sprt-asn", "--theta0", 1, "--theta1", 0]) == 1
 
 
+@pytest.mark.parametrize(
+    "extra, fragment",
+    [
+        (["--sigma2", "inf"], "sigma2 must be finite"),
+        (["--theta1", "1e-200"], "information number"),
+        (["--theta1", "inf"], "theta1 must be finite"),
+        (["--theta0", "nan"], "theta0 must be finite"),
+        (["--gamma", "1e-320", "--delta", "0"], "boundary a"),
+        (["--theta1", "1e-160"], "asymptotic mean sample size"),
+    ],
+)
+def test_sprt_asn_refuses_extreme_input(capsys, extra, fragment):
+    # later flags win: each case overrides the valid base
+    assert run_cli(["sprt-asn", "--theta0", 0, "--theta1", 1] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert fragment in err
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -547,6 +570,23 @@ def test_tests_import_this_checkout():
     """``python -m pytest`` puts ``src/`` first on the path (pyproject's ``pythonpath``)."""
     src = Path(__file__).resolve().parents[1] / "src"
     assert Path(seqgap.__file__).resolve().is_relative_to(src)
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_python_m_seqgap_runs_the_cli(tmp_path, valid):
+    """``python -m seqgap`` is ``python -m seqgap.cli``: same stdout, stderr and exit code."""
+    path = write_config(tmp_path, base_config() if valid else base_config(extra=1))
+    env = dict(os.environ, PYTHONPATH=str(Path(seqgap.__file__).resolve().parents[1]))
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, "calibrate", "--config", path],
+                       capture_output=True, text=True, env=env, timeout=60)
+        for name in ("seqgap", "seqgap.cli")
+    )
+    assert (package.returncode, package.stdout, package.stderr) == (module.returncode, module.stdout, module.stderr)
+    if valid:
+        assert package.returncode == 0 and package.stdout.startswith("rule = gap")
+    else:
+        assert package.returncode == 1 and package.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("module", ["seqgap"] + [

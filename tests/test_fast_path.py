@@ -1,9 +1,9 @@
 """The one-sort stepping and the trusted sums update against scalar references.
 
 The references are the earlier implementations: a tuple-keyed sort for the
-ordering, one ``gap_statistic`` call (a full sort) per gap index for the
-gap and max-gap rules, and the validating public constructor for
-``update_stats``.  The sums are drawn with forced ties (repeated values,
+ordering, one ``gap_statistic`` call (a full sort) per gap index and the
+tie rule of ``ordered_sums`` for the gap and max-gap rules, and the
+validating public constructor for ``update_stats``.  The sums are drawn with forced ties (repeated values,
 0.0 next to -0.0, all-equal rows, equal gaps), where a tie rule would show.
 """
 
@@ -116,11 +116,28 @@ def test_ordered_sums_matches_tuple_key_reference(values):
     assert ordered_sums(SufficientStats(3, tuple(values))) == reference_order(values)
 
 
-@given(sums_lists, st.data())
-def test_gap_step_matches_per_index_reference(values, data):
-    stats = SufficientStats(data.draw(st.integers(1, 50)), tuple(values))
-    m = data.draw(st.integers(1, len(values) - 1))
-    cfg = GapRuleConfig(m=m, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=threshold(values, data.draw))
+def _gap_cfg(m, G):
+    return GapRuleConfig(m=m, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=G)
+
+
+@st.composite
+def gap_cases(draw):
+    values = draw(sums_lists)
+    stats = SufficientStats(draw(st.integers(1, 50)), tuple(values))
+    return stats, _gap_cfg(draw(st.integers(1, len(values) - 1)), threshold(values, draw))
+
+
+@given(gap_cases())
+# equal sums just below the cut, the gap above them exactly G
+@example((SufficientStats(1, (3.0, 5.0, 3.0, 1.0)), _gap_cfg(1, 2.0)))
+@example((SufficientStats(1, (3.0, 5.0, 3.0, 1.0)), _gap_cfg(2, 2.0)))  # the tie straddles: no stop
+# 0.0 beside -0.0 inside the top group, the cut at a zero
+@example((SufficientStats(1, (-2.0, 0.0, -0.0, -3.0)), _gap_cfg(2, 2.0)))
+@example((SufficientStats(1, (-0.0, -2.0, 0.0, -3.0)), _gap_cfg(2, 1.5)))
+# the gap exactly G
+@example((SufficientStats(1, (1.5, 4.0, 0.0)), _gap_cfg(1, 2.5)))
+def test_gap_step_matches_per_index_reference(case):
+    stats, cfg = case
     assert gap_rule_step(stats, cfg) == reference_gap_step(stats, cfg)
 
 
@@ -145,6 +162,11 @@ def maxgap_cases(draw):
 @given(maxgap_cases())
 # eligible gaps 2 and 3 equal and at the threshold: the smaller index must win
 @example((SufficientStats(1, (9.0, 4.0, 3.0, 2.0, 0.0)), _maxgap_cfg(1, 4, base=1.0, slope=0.0)))
+# equal sums just below the cut, gap(2) exactly e(2) = 1.0 + 0.5 * 2
+@example((SufficientStats(2, (3.0, 9.0, 5.0, 3.0, 0.0)), _maxgap_cfg(1, 4, base=1.0, slope=0.5)))
+# 0.0 beside -0.0 inside the top group, gap(3) exactly e(n)
+@example((SufficientStats(1, (0.0, -3.0, -0.0, 0.0, -4.0)), _maxgap_cfg(1, 4, base=3.0, slope=0.0)))
+@example((SufficientStats(1, (-0.0, -3.0, 0.0, -0.0, -4.0)), _maxgap_cfg(1, 4, base=3.0, slope=0.0)))
 def test_maxgap_step_matches_per_index_reference(case):
     stats, cfg = case
     assert maxgap_rule_step(stats, cfg) == reference_maxgap_step(stats, cfg)
@@ -210,15 +232,20 @@ def test_update_stats_matches_public_constructor(values, n, kind, data):
 @pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("rule", ["gap", "maxgap"])
 def test_one_ordering_per_step(monkeypatch, rule, stop):
-    calls = []
+    """One bare sort per step, stop or not, and no ``ordered_sums`` call."""
+    sorts, orderings = [], []
 
-    def counting(stats):
-        calls.append(stats)
+    def counting_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    def counting_ordered_sums(stats):
+        orderings.append(stats)
         return ordered_sums(stats)
 
-    # gap_statistic reaches the ordering through the model module
-    monkeypatch.setattr(model, "ordered_sums", counting)
-    monkeypatch.setattr(rules, "ordered_sums", counting)
+    # a module global shadows the builtin
+    monkeypatch.setattr(rules, "sorted", counting_sorted, raising=False)
+    monkeypatch.setattr(model, "ordered_sums", counting_ordered_sums)
     stats = SufficientStats(1, (5.0, 4.0, 1.0, 0.0, -1.0))  # gaps 1, 3, 1, 1
     level = 2.0 if stop else 10.0
     if rule == "gap":
@@ -232,7 +259,8 @@ def test_one_ordering_per_step(monkeypatch, rule, stop):
     assert decision.stopped is stop
     if stop:
         assert decision.rejected == frozenset({1, 2})
-    assert len(calls) == 1
+    assert len(sorts) == 1
+    assert orderings == []
 
 
 @pytest.mark.parametrize("obs", [[1.0, 2.0, 3.0, 4.0], ObservationBatch((1.0, 2.0)), iter([1, 2, 3, 4])])
@@ -453,7 +481,7 @@ def test_trace_contract_counts(monkeypatch, kind):
     assert calls[f"{kind}_rule_step"] == steps
     assert calls["update_stats"] == steps
     assert calls["llr_star"] == (spec.params.K * steps if kind == "gi" else 0)
-    assert calls["ordered_sums"] == (0 if kind == "gi" else steps)
+    assert calls["ordered_sums"] == 0
     assert calls["trial_generator"] == spec.replications
     # one chunk here: the loop scores each distinct rejected set once per chunk
     assert calls["confusion"] == len({t.rejected for t in reference})

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from seqgap.model import (
     ModelParams,
@@ -134,6 +134,28 @@ def test_block_equals_repeated_increments_bitwise():
     assert block.tolist() == [list(row) for row in singles]
 
 
+@st.composite
+def block_cases(draw):
+    K = draw(st.integers(2, 12))
+    rho = draw(st.sampled_from([0.0, 0.999999]) | st.floats(0.0, 0.999999))
+    mu = draw(st.floats(1e-3, 10.0))
+    signals = draw(st.sets(st.integers(1, K)))
+    return params(K=K, rho=rho, mu=mu, signals=signals), draw(st.integers(1, 70)), draw(st.integers(0, 2**64 - 1))
+
+
+@given(block_cases())
+@example((params(K=3, rho=0.0, mu=0.7, signals=(2,)), 5, 11))  # the shared column scaled by 0.0
+@example((params(K=6, rho=0.999999, mu=2.5, signals=(1, 6)), 9, 12))
+def test_block_rows_equal_increments_by_repr(case):
+    p, count, key = case
+    block = sample_block(p, np.random.Generator(np.random.Philox(key=key)), count)
+    g = np.random.Generator(np.random.Philox(key=key))
+    assert block.shape == (count, p.K)
+    for row in block.tolist():
+        # repr tells -0.0 from 0.0 and is exact for every other float
+        assert repr(row) == repr(list(sample_increment(p, g).values))
+
+
 def _rebuilt(how, want):
     """``want`` rebuilt by ``dataclasses.replace`` from other fields, or by a pickle round trip."""
     if how == "replaced":
@@ -146,12 +168,18 @@ def _rebuilt(how, want):
 
 @pytest.mark.parametrize("how", ["replaced", "pickled"])
 def test_block_means_follow_the_fields(how):
+    """The cached mean and scale rows follow the fields, and belong to one params each."""
     want = params(K=5, rho=0.3, signals=(2, 5))
     p = _rebuilt(how, want)
-    g1 = np.random.Generator(np.random.Philox(key=7))
-    g2 = np.random.Generator(np.random.Philox(key=7))
-    block = sample_block(p, g1, 6)
-    assert block.tolist() == [list(sample_increment(want, g2).values) for _ in range(6)]
+    other = params(K=5, rho=0.1, mu=0.5)  # built later: a cache shared across params would show
+    for q in (p, other):
+        assert q._scale_row.tolist() == [math.sqrt(1.0 - q.rho)] * 5 + [math.sqrt(q.rho)]
+        assert not q._scale_row.flags.writeable and not q._mean_row.flags.writeable
+    for q, reference in ((p, want), (other, other)):
+        g1 = np.random.Generator(np.random.Philox(key=7))
+        g2 = np.random.Generator(np.random.Philox(key=7))
+        block = sample_block(q, g1, 6)
+        assert block.tolist() == [list(sample_increment(reference, g2).values) for _ in range(6)]
 
 
 @pytest.mark.parametrize("how", ["replaced", "pickled"])

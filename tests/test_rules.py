@@ -166,6 +166,13 @@ def _maxgap_cfg(l, u, base, slope=0.0):
     )
 
 
+@pytest.mark.parametrize("base, slope, fragment", [(0.0, 0.5, "base must be > 0"), (1.0, -0.5, "slope must be >= 0")])
+def test_maxgap_config_keeps_the_threshold_positive(base, slope, fragment):
+    # every stop then has a positive gap, which the rejected set is read from
+    with pytest.raises(ValueError, match=fragment):
+        _maxgap_cfg(1, 3, base=base, slope=slope)
+
+
 def test_maxgap_step_single_eligible_index():
     cfg = _maxgap_cfg(1, 3, base=4.0)
     decision = maxgap_rule_step(stats(9.0, 7.0, 2.0, 1.0, 0.0), cfg)

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +28,15 @@ from seqgap.sprt import (
         (dict(delta=-0.1), "delta"),
         (dict(delta=1.0), "delta"),
         (dict(gamma=0.6, delta=0.5), "gamma [+] delta"),
+        (dict(theta0=-math.inf), "theta0 must be finite"),
+        (dict(theta1=math.inf), "theta1 must be finite"),
+        (dict(theta1=math.nan), "theta1 must be finite"),
+        (dict(sigma2=math.inf), "sigma2 must be finite"),
+        (dict(theta1=1e-200), "information number .* is not a finite positive number"),  # squares to 0
+        (dict(sigma2=1e-320), "information number .* is not a finite positive number"),  # 1/sigma2 overflows
+        (dict(theta0=-1e200, theta1=1e200), "information number"),  # the square overflows
+        (dict(theta1=1e-160), "asymptotic mean sample size is not finite"),  # subnormal information
+        (dict(gamma=1e-320, delta=0.0), "boundary a .* is not finite"),  # 1/gamma overflows
     ],
 )
 def test_config_validation(kwargs, fragment):
@@ -55,6 +66,63 @@ def test_one_sided_never_accepts():
     assert b.b == -math.inf
     cfg = SprtConfig(0.0, 1.0, 1.0, gamma=0.001, delta=0.0)
     assert sprt_step(b, cfg, 100, -1e9) is SprtDecision.CONTINUE
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.0])
+def test_step_decides_at_exact_equality_with_each_threshold(delta):
+    cfg = SprtConfig(-1.0, 1.0, 3.0, gamma=0.01, delta=delta)  # zero drift: the statistic is the sum
+    b = boundaries(cfg)
+    upper = b.a * b.sum_scale
+    assert sprt_step(b, cfg, 5, upper) is SprtDecision.REJECT_H0
+    assert sprt_step(b, cfg, 5, math.nextafter(upper, 0.0)) is SprtDecision.CONTINUE
+    lower = b.b * b.sum_scale
+    if delta == 0.0:
+        assert lower == -math.inf
+        assert sprt_step(b, cfg, 5, -1e300) is SprtDecision.CONTINUE
+    else:
+        assert sprt_step(b, cfg, 5, lower) is SprtDecision.ACCEPT_H0
+        assert sprt_step(b, cfg, 5, math.nextafter(lower, 0.0)) is SprtDecision.CONTINUE
+    # run_sprt reads the boundaries cached on the config: the same thresholds
+    assert run_sprt(cfg, [upper], horizon_cap=5) == SprtOutcome(SprtDecision.REJECT_H0, 1)
+    assert run_sprt(cfg, [math.nextafter(upper, 0.0)], horizon_cap=5) == SprtTruncated(1)
+
+
+def _rebuilt_config(how, want):
+    """``want`` rebuilt by ``dataclasses.replace`` from other fields, or by a pickle round trip."""
+    if how == "replaced":
+        c = replace(SprtConfig(0.0, 2.0, 4.0, gamma=0.2, delta=0.0), theta0=want.theta0,
+                    theta1=want.theta1, sigma2=want.sigma2, gamma=want.gamma, delta=want.delta)
+    else:
+        c = pickle.loads(pickle.dumps(want))
+    assert c == want and hash(c) == hash(want) and repr(c) == repr(want)
+    return c
+
+
+@pytest.mark.parametrize("how", ["replaced", "pickled"])
+def test_sprt_boundaries_follow_the_fields(how):
+    """The cached boundaries and thresholds follow the fields, and belong to one config each."""
+    want = SprtConfig(-0.5, 1.5, 2.0, gamma=0.01, delta=0.03)
+    c = _rebuilt_config(how, want)
+    other = SprtConfig(0.0, 1.0, 1.0, gamma=0.05, delta=0.0)  # built later
+    for q in (c, other):
+        bounds = q._boundaries
+        assert bounds == boundaries(q)
+        assert repr(bounds._upper) == repr(bounds.a * bounds.sum_scale)
+        assert repr(bounds._lower) == repr(bounds.b * bounds.sum_scale)
+        assert bounds.upper_sum_bound(7) == 7 * bounds.drift + bounds.a * bounds.sum_scale
+    assert c._boundaries.b == math.log(0.03 / 0.99) and other._boundaries.b == -math.inf
+
+
+@pytest.mark.parametrize("how", ["replaced", "pickled"])
+def test_sprt_thresholds_follow_the_boundary_fields(how):
+    want = boundaries(SprtConfig(-0.5, 1.5, 2.0, gamma=0.01, delta=0.03))
+    if how == "replaced":
+        got = replace(boundaries(SprtConfig(0.0, 1.0)), a=want.a, b=want.b,
+                      sum_scale=want.sum_scale, drift=want.drift)
+    else:
+        got = pickle.loads(pickle.dumps(want))
+    assert got == want
+    assert (repr(got._upper), repr(got._lower)) == (repr(want.a * want.sum_scale), repr(want.b * want.sum_scale))
 
 
 def test_step_decision_regions():
