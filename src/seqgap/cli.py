@@ -34,9 +34,8 @@ from .montecarlo import (
     ExperimentSummary,
     GENERATOR_ID,
     TrialColumns,
-    ratio_sweep,
-    rho_sweep,
     run_experiment_with_trials,
+    sweep,
 )
 from .sprt import SprtConfig, asn_asymptotic, asn_wald
 
@@ -263,9 +262,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if parsed.sweep_kind is None:
         raise ConfigError("sweep command requires a sweep section (alpha_grid or rho_grid)")
     assert parsed.sweep_grid is not None
-    sweep = {"alpha": ratio_sweep, "rho": rho_sweep}[parsed.sweep_kind]
     with _staged_outputs(parsed.out_path) as (out,):
-        points = sweep(parsed.spec, parsed.sweep_grid, workers=args.workers)
+        points = sweep(parsed.spec, parsed.sweep_kind, parsed.sweep_grid, workers=args.workers)
         _emit(parsed, [summary_row(pt.spec, pt.summary) for pt in points], out)
     return 0 if all(pt.summary.reliable for pt in points) else 2
 

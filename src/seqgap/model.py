@@ -18,22 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "ModelParams",
-    "ObservationBatch",
     "SufficientStats",
-    "combine_latents",
     "gap_statistic",
     "llr_star",
     "ordered_sums",
     "sample_block",
     "sample_increment",
     "update_stats",
-    "validate_params",
 ]
 
 
@@ -50,7 +47,15 @@ class ModelParams:
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "signal_set", frozenset(int(i) for i in self.signal_set))
-        validate_params(self)
+        if self.K < 2:
+            raise ValueError(f"K must be >= 2, got {self.K}")
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError(f"rho out of range [0, 1): {self.rho}")
+        if not self.mu > 0.0:
+            raise ValueError(f"mu must be > 0, got {self.mu}")
+        if not self.signal_set <= frozenset(range(1, self.K + 1)):
+            bad = sorted(self.signal_set - frozenset(range(1, self.K + 1)))
+            raise ValueError(f"signal_set contains streams outside 1..{self.K}: {bad}")
         # not fields: equality, hashing and repr stay those of the four fields
         mean_row = self.mean_vector()
         mean_row.flags.writeable = False
@@ -74,30 +79,6 @@ class ModelParams:
         return out
 
 
-def validate_params(params: ModelParams) -> ModelParams:
-    """Check all model invariants; return ``params`` unchanged if they hold."""
-    if params.K < 2:
-        raise ValueError(f"K must be >= 2, got {params.K}")
-    if not 0.0 <= params.rho < 1.0:
-        raise ValueError(f"rho out of range [0, 1): {params.rho}")
-    if not params.mu > 0.0:
-        raise ValueError(f"mu must be > 0, got {params.mu}")
-    if not params.signal_set <= frozenset(range(1, params.K + 1)):
-        bad = sorted(params.signal_set - frozenset(range(1, params.K + 1)))
-        raise ValueError(f"signal_set contains streams outside 1..{params.K}: {bad}")
-    return params
-
-
-@dataclass(frozen=True)
-class ObservationBatch:
-    """One time step of observations, X_1..X_K."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-
 @dataclass(frozen=True)
 class SufficientStats:
     """Time index n and per-stream cumulative sums S_1..S_K."""
@@ -114,34 +95,23 @@ class SufficientStats:
     def initial(cls, K: int) -> SufficientStats:
         return cls(0, (0.0,) * K)
 
-    @classmethod
-    def _trusted(cls, n: int, sums: tuple[float, ...]) -> SufficientStats:
-        """Build without ``__post_init__``: the caller guarantees n >= 0 and float sums."""
-        stats = object.__new__(cls)
-        stats.__dict__.update(n=n, sums=sums)
-        return stats
-
     @property
     def K(self) -> int:
         return len(self.sums)
 
 
-def combine_latents(z: Sequence[float], v: float) -> ObservationBatch:
-    """Add the shared factor: values[i] = z[i] + v."""
-    return ObservationBatch(tuple(zi + v for zi in z))
-
-
-def sample_increment(params: ModelParams, rng: np.random.Generator) -> ObservationBatch:
+def sample_increment(params: ModelParams, rng: np.random.Generator) -> tuple[float, ...]:
     """Draw one observation vector from the equicorrelated model.
 
     Consumes exactly K + 1 standard normals from ``rng``: K idiosyncratic
-    terms first, then the shared factor.  ``sample_block`` draws the same
-    stream, so block and single-step sampling are interchangeable.
+    terms first, then the shared factor, which is added to each.  This is
+    the reference that ``sample_block`` reproduces bit for bit, so block
+    and single-step sampling are interchangeable.
     """
     eps = rng.standard_normal(params.K + 1)
     z = params.mean_vector() + math.sqrt(1.0 - params.rho) * eps[: params.K]
-    v = math.sqrt(params.rho) * eps[params.K]
-    return combine_latents(z.tolist(), float(v))
+    v = float(math.sqrt(params.rho) * eps[params.K])
+    return tuple(zi + v for zi in z.tolist())
 
 
 def sample_block(params: ModelParams, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -164,7 +134,7 @@ def sample_block(params: ModelParams, rng: np.random.Generator, count: int) -> n
     return z + eps[:, K:]
 
 
-def update_stats(stats: SufficientStats, obs: ObservationBatch | Iterable[float]) -> SufficientStats:
+def update_stats(stats: SufficientStats, obs: Iterable[float]) -> SufficientStats:
     """Fold one observation vector of real numbers into the cumulative sums.
 
     The sums are floats and a float plus a real number is a float, so the
@@ -173,14 +143,12 @@ def update_stats(stats: SufficientStats, obs: ObservationBatch | Iterable[float]
     """
     if isinstance(obs, (list, tuple)):
         values = obs
-    elif isinstance(obs, ObservationBatch):
-        values = obs.values
     else:
         values = tuple(obs)
     sums = stats.sums
     if len(values) != len(sums):
         raise ValueError(f"observation length {len(values)} != K={len(sums)}")
-    # SufficientStats._trusted inlined: this runs once per step
+    # built without __post_init__: this runs once per step
     result = object.__new__(SufficientStats)
     fields = result.__dict__
     fields["n"] = stats.n + 1

@@ -58,17 +58,15 @@ __all__ = [
     "TrialColumns",
     "TrialResult",
     "calibrated_rule",
-    "default_horizon_cap",
     "derive_trial_seed",
     "matched_sprt_config",
-    "ratio_sweep",
-    "rho_sweep",
     "run_experiment",
     "run_experiment_with_trials",
     "run_trial",
     "sprt_benchmark",
     "sprt_error_mc",
     "summarize",
+    "sweep",
     "sweep_specs",
     "theoretical_asymptote",
     "trial_generator",
@@ -146,12 +144,8 @@ class ExperimentSpec:
     horizon_cap: int | None = None
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not 0 <= self.master_seed <= _MASK64:
             raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
-        if self.horizon_cap is not None and self.horizon_cap < 1:
-            raise ValueError(f"horizon_cap must be >= 1, got {self.horizon_cap}")
         self.rule.check(self.params)
         calibrated_rule(self)  # surface calibration errors at construction
         # the asymptote sets the default horizon and the report's ratio;
@@ -165,22 +159,33 @@ class ExperimentSpec:
                 f"mu={self.params.mu} is out of range: the theoretical mean sample size "
                 "is not a finite positive number"
             )
-        horizon = self.resolved_horizon_cap()
-        if self.replications * horizon > _MAX_WORST_CASE_STEPS:
-            raise ValueError(
-                f"worst case {self.replications} replications x {horizon} steps = "
-                f"{self.replications * horizon} steps exceeds the limit of {_MAX_WORST_CASE_STEPS} steps"
-            )
+        # not a field: equality, hashing and repr stay those of the seven fields
+        object.__setattr__(self, "_horizon", _run_horizon(self.replications, self.horizon_cap, asymptote))
 
     def resolved_horizon_cap(self) -> int:
-        if self.horizon_cap is not None:
-            return self.horizon_cap
-        return default_horizon_cap(self)
+        """``horizon_cap``, or the default horizon of ``_run_horizon``."""
+        return self._horizon
 
 
-def default_horizon_cap(spec: ExperimentSpec) -> int:
-    """50x the theoretical mean sample size, rounded up, at least 1000."""
-    return max(1000, math.ceil(50.0 * theoretical_asymptote(spec)))
+def _run_horizon(replications: int, horizon_cap: int | None, asymptote: float) -> int:
+    """Check a run's size and return its horizon.
+
+    The horizon is ``horizon_cap``, or by default 50x the ``asymptote``
+    (the mean sample size as the error levels vanish), rounded up, at
+    least 1000.  A run whose worst case, every trial reaching the horizon,
+    exceeds ``_MAX_WORST_CASE_STEPS`` is refused before it starts.
+    """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    if horizon_cap is not None and horizon_cap < 1:
+        raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap}")
+    horizon = horizon_cap if horizon_cap is not None else max(1000, math.ceil(50.0 * asymptote))
+    if replications * horizon > _MAX_WORST_CASE_STEPS:
+        raise ValueError(
+            f"worst case {replications} replications x {horizon} steps = "
+            f"{replications * horizon} steps exceeds the limit of {_MAX_WORST_CASE_STEPS} steps"
+        )
+    return horizon
 
 
 def calibrated_rule(spec: ExperimentSpec) -> GapRuleConfig | MaxGapRuleConfig | GIRuleConfig:
@@ -237,23 +242,29 @@ def _all_wrong(signal_set: frozenset[int], K: int) -> frozenset[int]:
     return frozenset(range(1, K + 1)) - signal_set
 
 
+def _block_sizes(horizon: int, first_block: int) -> Iterator[int]:
+    """A trial's draw sizes: ``first_block``, then ``_BLOCK`` at a time, ``horizon`` rows in all."""
+    n, count = 0, first_block
+    while n < horizon:
+        count = min(count, horizon - n)
+        yield count
+        n += count
+        count = _BLOCK
+
+
 def _rule_trial(spec: ExperimentSpec, horizon: int) -> Trial:
     params = spec.params
     step, arg = spec.rule.stepper(calibrated_rule(spec), params)
-    start = SufficientStats._trusted(0, (0.0,) * params.K)
+    start = SufficientStats.initial(params.K)
 
     def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
-        # ``first_block`` rows, then ``_BLOCK`` at a time, ``horizon`` rows in all
-        stats, n, count = start, 0, first_block
-        while n < horizon:
-            count = min(count, horizon - n)
+        stats = start
+        for count in _block_sizes(horizon, first_block):
             for row in sample_block(params, rng, count).tolist():
                 stats = update_stats(stats, row)
                 decision = step(stats, arg)
                 if decision.stopped:
                     return stats.n, decision.rejected
-            n += count
-            count = _BLOCK
         return horizon, None
 
     return trial
@@ -412,33 +423,23 @@ def sweep_specs(
     return specs
 
 
-def _run_points(specs: list[ExperimentSpec], grid: Sequence[float], workers: int) -> list[SweepPoint]:
+def sweep(
+    spec_template: ExperimentSpec,
+    kind: Literal["alpha", "rho"],
+    grid: Sequence[float],
+    workers: int = 1,
+) -> list[SweepPoint]:
+    """Run the template at each grid point of :func:`sweep_specs`, in grid order.
+
+    Every point is checked before any runs.  All points share the
+    template's master seed (common random numbers), so cross-point
+    comparisons are variance-reduced.
+    """
+    specs = sweep_specs(spec_template, kind, grid)
     return [
         SweepPoint(value=value, spec=spec, summary=run_experiment(spec, workers))
         for value, spec in zip(grid, specs)
     ]
-
-
-def ratio_sweep(
-    spec_template: ExperimentSpec,
-    alpha_grid: Sequence[float],
-    workers: int = 1,
-) -> list[SweepPoint]:
-    """Run the template at each alpha (= beta) on a decreasing grid.
-
-    All points share the template's master seed (common random numbers), so
-    cross-point comparisons are variance-reduced.
-    """
-    return _run_points(sweep_specs(spec_template, "alpha", alpha_grid), alpha_grid, workers)
-
-
-def rho_sweep(
-    spec_template: ExperimentSpec,
-    rho_grid: Sequence[float],
-    workers: int = 1,
-) -> list[SweepPoint]:
-    """Run the template at each common correlation, sharing the master seed."""
-    return _run_points(sweep_specs(spec_template, "rho", rho_grid), rho_grid, workers)
 
 
 @dataclass(frozen=True)
@@ -494,24 +495,15 @@ class SprtMcResult:
 _STREAM_1 = frozenset({1})  # the SPRT's signal set under h1, and its rejected set on a rejection
 
 
-def _normal_blocks(
-    rng: np.random.Generator, mean: float, sd: float, horizon: int, first_block: int
-) -> Iterator[list[float]]:
-    """N(mean, sd^2) draws in blocks: ``first_block``, then ``_BLOCK`` at a time, ``horizon`` in all."""
-    n, count = 0, first_block
-    while n < horizon:
-        count = min(count, horizon - n)
-        yield (mean + sd * rng.standard_normal(count)).tolist()
-        n += count
-        count = _BLOCK
-
-
 def _sprt_trial(config: SprtConfig, truth: Literal["h0", "h1"], horizon: int) -> Trial:
     mean = config.theta0 if truth == "h0" else config.theta1
     sd = math.sqrt(config.sigma2)
 
     def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
-        draws = _normal_blocks(rng, mean, sd, horizon, first_block)
+        draw = lambda count: (mean + sd * rng.standard_normal(count)).tolist()
+        # map, not a generator expression: a test that stops early would
+        # abandon a second suspended generator, whose close costs about 0.3 us
+        draws = map(draw, _block_sizes(horizon, first_block))
         outcome = run_sprt(config, chain.from_iterable(draws), horizon)
         if isinstance(outcome, SprtTruncated):
             return outcome.stopping_time, None
@@ -534,12 +526,12 @@ def sprt_error_mc(
     errors (conservative) and are also reported separately.  The runs go
     through the harness's trial loop as one stream whose signal set is
     empty under h0 and {1} under h1, so a run errs exactly when V + W > 0.
+    The run size is checked, and the horizon defaults, as for an
+    :class:`ExperimentSpec`, with the SPRT's asymptotic mean sample size.
     """
     if truth not in ("h0", "h1"):
         raise ValueError(f"truth must be 'h0' or 'h1', got {truth!r}")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    horizon = horizon_cap if horizon_cap is not None else max(1000, math.ceil(50.0 * asn_asymptotic(config)))
+    horizon = _run_horizon(replications, horizon_cap, asn_asymptotic(config))
     signal_set = frozenset() if truth == "h0" else _STREAM_1
     trials = _run_trials(master_seed, 0, replications, _sprt_trial(config, truth, horizon), signal_set, 1)
     time = sample_mean(trials.T)

@@ -32,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from operator import sub
-from typing import Any, Callable, ClassVar, NamedTuple
+from typing import Any, Callable, ClassVar
 
 from .model import ModelParams, SufficientStats, llr_star
 
@@ -42,7 +42,6 @@ __all__ = [
     "GapRuleSpec",
     "GIRuleConfig",
     "GiRuleSpec",
-    "KlNumbers",
     "MAXGAP_VARIANTS",
     "MaxGapRuleConfig",
     "MaxGapRuleSpec",
@@ -57,7 +56,6 @@ __all__ = [
     "calibrate_maxgap",
     "gap_rule_step",
     "gi_rule_step",
-    "kl_numbers",
     "maxgap_rule_step",
 ]
 
@@ -345,25 +343,6 @@ def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> StopDecision:
     return StopDecision._trusted(frozenset(order[i] + 1 for i in range(p_prime)))
 
 
-class KlNumbers(NamedTuple):
-    """Per-stream information numbers and their minima over noise/signal sets."""
-
-    d0: float
-    d1: float
-    eta0: float
-    eta1: float
-
-
-def kl_numbers(params: ModelParams) -> KlNumbers:
-    """Information numbers for the unit-variance mean-shift test: all mu^2/2.
-
-    Streams are exchangeable, so the minima over any subset equal the
-    per-stream values.
-    """
-    d = params.mu**2 / 2.0
-    return KlNumbers(d0=d, d1=d, eta0=d, eta1=d)
-
-
 # A stepper is a (function, argument) pair: the trial loop calls
 # ``function(stats, argument)`` once per step.  ``stepper`` reads the
 # function by module-global name when it builds the pair, and ``_gi_step``
@@ -489,8 +468,8 @@ class GiRuleSpec:
 
     def asymptote(self, params: ModelParams, log_level: float) -> float:
         """|log(min(alpha, beta))| / (eta0 + eta1), the independent baseline"""
-        kl = kl_numbers(params)
-        return log_level / (kl.eta0 + kl.eta1)
+        eta = params.mu**2 / 2.0  # eta0 = eta1: every stream's information number is mu^2/2
+        return log_level / (eta + eta)
 
     def stepper(self, cfg: GIRuleConfig, params: ModelParams) -> Stepper:
         return _gi_step, (cfg, params, range(1, params.K + 1))

@@ -22,14 +22,12 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 __all__ = [
-    "SprtBoundaries",
     "SprtConfig",
     "SprtDecision",
     "SprtOutcome",
     "SprtTruncated",
     "asn_asymptotic",
     "asn_wald",
-    "boundaries",
     "run_sprt",
     "sprt_step",
 ]
@@ -46,9 +44,12 @@ class SprtConfig:
     """Hypotheses, known variance, and target error levels gamma (type I),
     delta (type II).  delta = 0 selects the one-sided test.
 
-    The boundaries are built once, with the config (not a field: equality,
+    Building the config also derives, once, the log-boundaries ``a`` and
+    ``b`` (``b`` = -inf when delta = 0), ``sum_scale`` = sigma2/(theta1 -
+    theta0) and ``drift`` = (theta1 + theta0)/2, and the statistic's two
+    sum-scale thresholds for ``sprt_step``.  They are not fields: equality,
     hashing and repr stay those of the five fields; ``dataclasses.replace``
-    rebuilds them and pickle carries them).
+    rebuilds them and pickle carries them.
     """
 
     theta0: float
@@ -80,16 +81,25 @@ class SprtConfig:
                 f"the information number (theta1-theta0)^2/(2*sigma2) = {kl} for theta0={self.theta0}, "
                 f"theta1={self.theta1}, sigma2={self.sigma2} is not a finite positive number"
             )
-        bounds = boundaries(self)
-        if not math.isfinite(bounds.a):
-            raise ValueError(f"boundary a = log((1-delta)/gamma) = {bounds.a} is not finite for gamma={self.gamma}")
-        if self.delta > 0.0 and not math.isfinite(bounds.b):
-            raise ValueError(f"boundary b = log(delta/(1-gamma)) = {bounds.b} is not finite for delta={self.delta}")
+        a = math.log((1.0 - self.delta) / self.gamma)
+        b = math.log(self.delta / (1.0 - self.gamma)) if self.delta > 0.0 else -math.inf
+        if not math.isfinite(a):
+            raise ValueError(f"boundary a = log((1-delta)/gamma) = {a} is not finite for gamma={self.gamma}")
+        if self.delta > 0.0 and not math.isfinite(b):
+            raise ValueError(f"boundary b = log(delta/(1-gamma)) = {b} is not finite for delta={self.delta}")
         if not math.isfinite(asn_asymptotic(self)):
             raise ValueError(
                 f"the asymptotic mean sample size is not finite: the information number {kl} is too small"
             )
-        object.__setattr__(self, "_boundaries", bounds)
+        sum_scale = self.sigma2 / (self.theta1 - self.theta0)
+        # set one by one: on CPython 3.11, writing through ``__dict__`` would
+        # slow every later attribute read, three per ``sprt_step`` call
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "sum_scale", sum_scale)
+        object.__setattr__(self, "drift", (self.theta1 + self.theta0) / 2.0)
+        object.__setattr__(self, "_upper", a * sum_scale)  # reject once the centered sum reaches this
+        object.__setattr__(self, "_lower", b * sum_scale)  # accept once it falls to this
 
     @property
     def kl_rate(self) -> float:
@@ -97,42 +107,7 @@ class SprtConfig:
         return (self.theta1 - self.theta0) ** 2 / (2.0 * self.sigma2)
 
 
-@dataclass(frozen=True)
-class SprtBoundaries:
-    """Log-scale boundaries and the sum-scale conversion factors."""
-
-    a: float
-    b: float
-    sum_scale: float  # sigma2 / (theta1 - theta0)
-    drift: float  # (theta1 + theta0) / 2
-
-    def __post_init__(self) -> None:
-        # not fields: the statistic's thresholds, built once for sprt_step
-        object.__setattr__(self, "_upper", self.a * self.sum_scale)
-        object.__setattr__(self, "_lower", self.b * self.sum_scale)
-
-    def upper_sum_bound(self, n: int) -> float:
-        """Raw-sum threshold for rejecting the null at time n."""
-        return n * self.drift + self._upper
-
-    def lower_sum_bound(self, n: int) -> float:
-        """Raw-sum threshold for accepting the null at time n (-inf if one-sided)."""
-        return n * self.drift + self._lower
-
-
-def boundaries(config: SprtConfig) -> SprtBoundaries:
-    """a = log[(1-delta)/gamma], b = log[delta/(1-gamma)] (-inf when delta=0)."""
-    a = math.log((1.0 - config.delta) / config.gamma)
-    b = math.log(config.delta / (1.0 - config.gamma)) if config.delta > 0.0 else -math.inf
-    return SprtBoundaries(
-        a=a,
-        b=b,
-        sum_scale=config.sigma2 / (config.theta1 - config.theta0),
-        drift=(config.theta1 + config.theta0) / 2.0,
-    )
-
-
-def sprt_step(bounds: SprtBoundaries, config: SprtConfig, n: int, cum_sum: float) -> SprtDecision:
+def sprt_step(config: SprtConfig, n: int, cum_sum: float) -> SprtDecision:
     """Decision after n observations with raw cumulative sum ``cum_sum``.
 
     Rejection takes precedence when both boundaries are crossed at once,
@@ -140,10 +115,10 @@ def sprt_step(bounds: SprtBoundaries, config: SprtConfig, n: int, cum_sum: float
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    statistic = cum_sum - n * bounds.drift
-    if statistic >= bounds._upper:
+    statistic = cum_sum - n * config.drift
+    if statistic >= config._upper:
         return SprtDecision.REJECT_H0
-    if statistic <= bounds._lower:
+    if statistic <= config._lower:
         return SprtDecision.ACCEPT_H0
     return SprtDecision.CONTINUE
 
@@ -181,13 +156,12 @@ def run_sprt(
     """
     if horizon_cap < 1:
         raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap}")
-    bounds = config._boundaries
     n = 0
     cum_sum = 0.0
     for u in increments:
         n += 1
         cum_sum += u
-        decision = sprt_step(bounds, config, n, cum_sum)
+        decision = sprt_step(config, n, cum_sum)
         if decision is not SprtDecision.CONTINUE:
             return SprtOutcome(decision, n)
         if n >= horizon_cap:
@@ -209,7 +183,7 @@ def asn_wald(config: SprtConfig, under: Literal["h0", "h1"]) -> float:
     if under not in ("h0", "h1"):
         raise ValueError(f"under must be 'h0' or 'h1', got {under!r}")
     L = config.kl_rate
-    a = math.log((1.0 - config.delta) / config.gamma)
+    a, b = config.a, config.b
     if config.delta == 0.0:
         if under == "h0":
             raise ValueError(
@@ -217,7 +191,6 @@ def asn_wald(config: SprtConfig, under: Literal["h0", "h1"]) -> float:
                 "use asn_asymptotic instead"
             )
         return a / L
-    b = math.log(config.delta / (1.0 - config.gamma))
     if under == "h0":
         return ((1.0 - config.gamma) * b + config.gamma * a) / (-L)
     return (config.delta * b + (1.0 - config.delta) * a) / L

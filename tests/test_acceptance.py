@@ -18,12 +18,11 @@ from seqgap.montecarlo import (
     ExperimentSpec,
     GapRuleSpec,
     MaxGapRuleSpec,
-    ratio_sweep,
-    rho_sweep,
     run_experiment,
     run_experiment_with_trials,
     sprt_benchmark,
     sprt_error_mc,
+    sweep,
     theoretical_asymptote,
 )
 from seqgap.rules import (
@@ -108,7 +107,7 @@ def test_criterion_02_pics_control(gap_control_run):
 def test_criterion_03_asymptotic_optimality_ratio():
     """mean_T / asymptote approaches 1 as the error levels shrink."""
     grid = [1e-2, 1e-4, 1e-6, 1e-8]
-    points = ratio_sweep(_gap_spec(alpha=1e-2, reps=10**4, seed=31415), grid, workers=WORKERS)
+    points = sweep(_gap_spec(alpha=1e-2, reps=10**4, seed=31415), "alpha", grid, workers=WORKERS)
     ratios = [p.summary.ratio for p in points]
     assert all(p.summary.truncation_count == 0 for p in points)
     assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
@@ -119,8 +118,8 @@ def test_criterion_03_asymptotic_optimality_ratio():
 def test_criterion_04_mean_time_decreases_in_correlation():
     """Stronger common correlation speeds up every comparison, same seeds."""
     grid = [0.0, 0.25, 0.5, 0.75]
-    points = rho_sweep(_gap_spec(alpha=1e-4, reps=2 * 10**4, seed=27182, rho=0.0),
-                       grid, workers=WORKERS)
+    points = sweep(_gap_spec(alpha=1e-4, reps=2 * 10**4, seed=27182, rho=0.0), "rho",
+                   grid, workers=WORKERS)
     means = [p.summary.mean_T for p in points]
     ses = [p.summary.se_T for p in points]
     for i in range(3):

@@ -510,7 +510,7 @@ def test_sweep_rejects_a_bad_grid_point_before_any_runs(tmp_path, monkeypatch, c
 
 def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment_with_trials", _refuse_to_run)
-    monkeypatch.setattr(cli, "ratio_sweep", _refuse_to_run)
+    monkeypatch.setattr(cli, "sweep", _refuse_to_run)
     cfg = write_config(tmp_path, base_config(sweep={"alpha_grid": [1e-2]}))
     missing = tmp_path / "no-dir"
     report = tmp_path / "r.csv"
@@ -587,6 +587,17 @@ def test_python_m_seqgap_runs_the_cli(tmp_path, valid):
         assert package.returncode == 0 and package.stdout.startswith("rule = gap")
     else:
         assert package.returncode == 1 and package.stderr.startswith("error: ")
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """``seqgap calibrate`` draws nothing, so it does not pay to load ``numpy.random``.
+
+    That is why the harness's ``Trial`` alias is a string.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(seqgap.__file__).resolve().parents[1]))
+    probe = "import sys, seqgap.cli; print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "True False\n", "")
 
 
 @pytest.mark.parametrize("module", ["seqgap"] + [

@@ -8,9 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from seqgap.model import (
     ModelParams,
-    ObservationBatch,
     SufficientStats,
-    combine_latents,
     gap_statistic,
     llr_star,
     ordered_sums,
@@ -48,7 +46,7 @@ def test_mean_vector_places_mu_on_signals():
 
 def test_update_stats_accumulates():
     s = SufficientStats.initial(3)
-    s = update_stats(s, ObservationBatch((1.0, 2.0, 3.0)))
+    s = update_stats(s, (1.0, 2.0, 3.0))
     s = update_stats(s, [0.5, -2.0, 1.0])
     assert s.n == 2
     assert s.sums == (1.5, 0.0, 4.0)
@@ -112,10 +110,6 @@ def test_llr_star_example():
         llr_star(s, 5, params())
 
 
-def test_combine_latents_adds_shared_factor():
-    assert combine_latents((1.0, 2.0), 0.5).values == (1.5, 2.5)
-
-
 def test_increment_consumes_k_plus_one_normals():
     p = params()
     g1 = np.random.Generator(np.random.Philox(key=42))
@@ -130,7 +124,7 @@ def test_block_equals_repeated_increments_bitwise():
     g1 = np.random.Generator(np.random.Philox(key=7))
     g2 = np.random.Generator(np.random.Philox(key=7))
     block = sample_block(p, g1, 6)
-    singles = [sample_increment(p, g2).values for _ in range(6)]
+    singles = [sample_increment(p, g2) for _ in range(6)]
     assert block.tolist() == [list(row) for row in singles]
 
 
@@ -153,7 +147,7 @@ def test_block_rows_equal_increments_by_repr(case):
     assert block.shape == (count, p.K)
     for row in block.tolist():
         # repr tells -0.0 from 0.0 and is exact for every other float
-        assert repr(row) == repr(list(sample_increment(p, g).values))
+        assert repr(row) == repr(list(sample_increment(p, g)))
 
 
 def _rebuilt(how, want):
@@ -179,7 +173,7 @@ def test_block_means_follow_the_fields(how):
         g1 = np.random.Generator(np.random.Philox(key=7))
         g2 = np.random.Generator(np.random.Philox(key=7))
         block = sample_block(q, g1, 6)
-        assert block.tolist() == [list(sample_increment(reference, g2).values) for _ in range(6)]
+        assert block.tolist() == [list(sample_increment(reference, g2)) for _ in range(6)]
 
 
 @pytest.mark.parametrize("how", ["replaced", "pickled"])

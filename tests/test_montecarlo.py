@@ -13,16 +13,15 @@ from seqgap.montecarlo import (
     GiRuleSpec,
     MaxGapRuleSpec,
     TrialColumns,
-    default_horizon_cap,
     derive_trial_seed,
     matched_sprt_config,
-    ratio_sweep,
-    rho_sweep,
     run_experiment,
     run_experiment_with_trials,
     run_trial,
     sprt_benchmark,
+    sprt_error_mc,
     summarize,
+    sweep,
     theoretical_asymptote,
     trial_generator,
 )
@@ -188,11 +187,40 @@ def test_gap_asymptote_at_rho_zero_equals_gi_baseline():
 
 
 def test_default_horizon_cap():
-    assert default_horizon_cap(gap_spec(alpha=0.01)) == 1000  # floor dominates
+    assert gap_spec(alpha=0.01).resolved_horizon_cap() == 1000  # floor dominates
     big = gap_spec(alpha=1e-12, rho=0.0)
     assert 50 * theoretical_asymptote(big) > 1000  # floor does not mask the scaling
-    assert default_horizon_cap(big) == math.ceil(50 * theoretical_asymptote(big))
+    assert big.resolved_horizon_cap() == math.ceil(50 * theoretical_asymptote(big))
     assert gap_spec(horizon_cap=77).resolved_horizon_cap() == 77
+
+
+def _refuse_trials(*args, **kwargs):
+    raise AssertionError("a trial ran although the run size is refused")
+
+
+@pytest.mark.parametrize("reps, horizon_cap, fragment", [
+    (10**4, None, "worst case 10000 replications x "),
+    (10, 0, "horizon_cap must be >= 1, got 0"),
+    (0, None, "replications must be >= 1, got 0"),
+], ids=["worst-case", "horizon", "replications"])
+def test_sprt_error_mc_checks_the_run_size_before_any_trial(monkeypatch, reps, horizon_cap, fragment):
+    """The SPRT's runs are sized and refused as an ExperimentSpec's are."""
+    monkeypatch.setattr(montecarlo, "_run_trials", _refuse_trials)
+    config = SprtConfig(0.0, 1e-3, 1.0, 0.01, 0.01)  # a default horizon of 50 x 9.2e6 steps
+    with pytest.raises(ValueError) as info:
+        sprt_error_mc(config, "h1", reps, 0, horizon_cap=horizon_cap)
+    message = str(info.value)
+    assert message.startswith(fragment) and "\n" not in message
+    if horizon_cap is None and reps > 0:
+        horizon = math.ceil(50 * asn_asymptotic(config))
+        assert message == (f"worst case {reps} replications x {horizon} steps = {reps * horizon} steps "
+                           "exceeds the limit of 10000000000 steps")
+
+
+def test_block_sizes():
+    assert list(montecarlo._block_sizes(150, 8)) == [8, 64, 64, 14]
+    assert list(montecarlo._block_sizes(5, 8)) == [5]
+    assert list(montecarlo._block_sizes(128, 64)) == [64, 64]
 
 
 # ----------------------------------------------------------------- trials
@@ -377,7 +405,7 @@ def test_workers_validation():
 
 
 def test_ratio_sweep_shares_seed_and_orders_points():
-    points = ratio_sweep(gap_spec(reps=100), [1e-2, 1e-3])
+    points = sweep(gap_spec(reps=100), "alpha", [1e-2, 1e-3])
     assert [p.value for p in points] == [1e-2, 1e-3]
     assert all(p.spec.master_seed == 1234 for p in points)
     assert all(p.spec.alpha == p.spec.beta == p.value for p in points)
@@ -385,9 +413,11 @@ def test_ratio_sweep_shares_seed_and_orders_points():
 
 def test_ratio_sweep_validates_grid():
     with pytest.raises(ValueError, match="nonempty"):
-        ratio_sweep(gap_spec(), [])
+        sweep(gap_spec(), "alpha", [])
     with pytest.raises(ValueError, match="strictly decreasing"):
-        ratio_sweep(gap_spec(), [1e-3, 1e-2])
+        sweep(gap_spec(), "alpha", [1e-3, 1e-2])
+    with pytest.raises(ValueError, match="sweep kind must be 'alpha' or 'rho', got 'beta'"):
+        sweep(gap_spec(), "beta", [1e-2])
 
 
 def _refuse_to_run(*args, **kwargs):
@@ -397,25 +427,25 @@ def _refuse_to_run(*args, **kwargs):
 def test_sweeps_check_every_point_before_running(monkeypatch):
     monkeypatch.setattr(montecarlo, "run_experiment", _refuse_to_run)
     with pytest.raises(ValueError, match=r"alpha_grid entry -0\.5: alpha must be in \(0, 1\)"):
-        ratio_sweep(gap_spec(), [0.1, 0.01, -0.5])
+        sweep(gap_spec(), "alpha", [0.1, 0.01, -0.5])
     with pytest.raises(ValueError, match=r"rho_grid entry 1\.5: rho out of range"):
-        rho_sweep(gap_spec(), [0.0, 0.5, 1.5])
+        sweep(gap_spec(), "rho", [0.0, 0.5, 1.5])
     gi = ExperimentSpec(
         params=ModelParams(K=5, rho=0.0, mu=1.0, signal_set=frozenset({1, 2})),
         rule=GiRuleSpec(l=1, u=3), alpha=0.01, beta=0.01, replications=10, master_seed=0,
     )
     with pytest.raises(ValueError, match=r"rho_grid entry 0\.2: the gap-intersection baseline"):
-        rho_sweep(gi, [0.0, 0.2])
+        sweep(gi, "rho", [0.0, 0.2])
 
 
 def test_rho_sweep_replaces_correlation():
-    points = rho_sweep(gap_spec(reps=100), [0.0, 0.5])
+    points = sweep(gap_spec(reps=100), "rho", [0.0, 0.5])
     assert [p.spec.params.rho for p in points] == [0.0, 0.5]
     assert points[0].summary.asymptote == pytest.approx(
         2 * points[1].summary.asymptote, rel=1e-12
     )
     with pytest.raises(ValueError, match="nonempty"):
-        rho_sweep(gap_spec(), [])
+        sweep(gap_spec(), "rho", [])
 
 
 # -------------------------------------------------------------- benchmark

@@ -7,6 +7,7 @@ from seqgap.rules import (
     CONTINUE,
     GapRuleConfig,
     GIRuleConfig,
+    GiRuleSpec,
     MaxGapRuleConfig,
     StopDecision,
     VARIANT_SQRT2,
@@ -16,7 +17,6 @@ from seqgap.rules import (
     calibrate_maxgap,
     gap_rule_step,
     gi_rule_step,
-    kl_numbers,
     maxgap_rule_step,
 )
 
@@ -266,15 +266,15 @@ def test_gi_rejection_count_within_bounds():
             assert cfg.l <= len(decision.rejected) <= cfg.u
 
 
-# -------------------------------------------------------------- kl numbers
+# -------------------------------------------------------------- asymptotes
 
 
-def test_kl_numbers_all_equal():
-    p = ModelParams(K=3, rho=0.0, mu=1.0, signal_set=frozenset({1}))
-    kl = kl_numbers(p)
-    assert kl == (0.5, 0.5, 0.5, 0.5)
-    p2 = ModelParams(K=3, rho=0.0, mu=2.0, signal_set=frozenset({1}))
-    assert kl_numbers(p2).eta1 == 2.0
+@pytest.mark.parametrize("mu, want", [(1.0, 2.0), (2.0, 0.5), (0.7, 2.0 / (0.7**2 / 2.0 + 0.7**2 / 2.0))],
+                         ids=["mu=1", "mu=2", "mu=0.7"])
+def test_gi_asymptote_adds_two_equal_information_numbers(mu, want):
+    """|log level| / (eta0 + eta1), with eta0 = eta1 = mu^2/2 for every stream."""
+    p = ModelParams(K=3, rho=0.0, mu=mu, signal_set=frozenset({1}))
+    assert repr(GiRuleSpec(l=1, u=2).asymptote(p, 2.0)) == repr(want)
 
 
 def test_stop_decision_invariant():

@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -12,7 +12,6 @@ from seqgap.sprt import (
     SprtTruncated,
     asn_asymptotic,
     asn_wald,
-    boundaries,
     run_sprt,
     sprt_step,
 )
@@ -53,36 +52,34 @@ def test_kl_rate():
 
 def test_boundaries_frozen_values():
     # log(0.99/0.01) and log(0.01/0.99), hand evaluated
-    b = boundaries(SprtConfig(0.0, 1.0, 1.0, gamma=0.01, delta=0.01))
-    assert b.a == pytest.approx(4.59511985013459, rel=1e-12)
-    assert b.b == pytest.approx(-4.59511985013459, rel=1e-12)
-    assert b.sum_scale == 1.0
-    assert b.drift == 0.5
+    cfg = SprtConfig(0.0, 1.0, 1.0, gamma=0.01, delta=0.01)
+    assert cfg.a == pytest.approx(4.59511985013459, rel=1e-12)
+    assert cfg.b == pytest.approx(-4.59511985013459, rel=1e-12)
+    assert cfg.sum_scale == 1.0
+    assert cfg.drift == 0.5
 
 
 def test_one_sided_never_accepts():
-    b = boundaries(SprtConfig(0.0, 1.0, 1.0, gamma=0.001, delta=0.0))
-    assert b.a == pytest.approx(6.907755278982137, rel=1e-12)  # log 1000
-    assert b.b == -math.inf
     cfg = SprtConfig(0.0, 1.0, 1.0, gamma=0.001, delta=0.0)
-    assert sprt_step(b, cfg, 100, -1e9) is SprtDecision.CONTINUE
+    assert cfg.a == pytest.approx(6.907755278982137, rel=1e-12)  # log 1000
+    assert cfg.b == -math.inf
+    assert sprt_step(cfg, 100, -1e9) is SprtDecision.CONTINUE
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.0])
 def test_step_decides_at_exact_equality_with_each_threshold(delta):
     cfg = SprtConfig(-1.0, 1.0, 3.0, gamma=0.01, delta=delta)  # zero drift: the statistic is the sum
-    b = boundaries(cfg)
-    upper = b.a * b.sum_scale
-    assert sprt_step(b, cfg, 5, upper) is SprtDecision.REJECT_H0
-    assert sprt_step(b, cfg, 5, math.nextafter(upper, 0.0)) is SprtDecision.CONTINUE
-    lower = b.b * b.sum_scale
+    upper = cfg.a * cfg.sum_scale
+    assert sprt_step(cfg, 5, upper) is SprtDecision.REJECT_H0
+    assert sprt_step(cfg, 5, math.nextafter(upper, 0.0)) is SprtDecision.CONTINUE
+    lower = cfg.b * cfg.sum_scale
     if delta == 0.0:
         assert lower == -math.inf
-        assert sprt_step(b, cfg, 5, -1e300) is SprtDecision.CONTINUE
+        assert sprt_step(cfg, 5, -1e300) is SprtDecision.CONTINUE
     else:
-        assert sprt_step(b, cfg, 5, lower) is SprtDecision.ACCEPT_H0
-        assert sprt_step(b, cfg, 5, math.nextafter(lower, 0.0)) is SprtDecision.CONTINUE
-    # run_sprt reads the boundaries cached on the config: the same thresholds
+        assert sprt_step(cfg, 5, lower) is SprtDecision.ACCEPT_H0
+        assert sprt_step(cfg, 5, math.nextafter(lower, 0.0)) is SprtDecision.CONTINUE
+    # run_sprt steps with the same thresholds
     assert run_sprt(cfg, [upper], horizon_cap=5) == SprtOutcome(SprtDecision.REJECT_H0, 1)
     assert run_sprt(cfg, [math.nextafter(upper, 0.0)], horizon_cap=5) == SprtTruncated(1)
 
@@ -100,42 +97,30 @@ def _rebuilt_config(how, want):
 
 @pytest.mark.parametrize("how", ["replaced", "pickled"])
 def test_sprt_boundaries_follow_the_fields(how):
-    """The cached boundaries and thresholds follow the fields, and belong to one config each."""
+    """The derived boundaries and thresholds follow the fields, and belong to one config each."""
+    assert [f.name for f in fields(SprtConfig)] == ["theta0", "theta1", "sigma2", "gamma", "delta"]
     want = SprtConfig(-0.5, 1.5, 2.0, gamma=0.01, delta=0.03)
     c = _rebuilt_config(how, want)
     other = SprtConfig(0.0, 1.0, 1.0, gamma=0.05, delta=0.0)  # built later
     for q in (c, other):
-        bounds = q._boundaries
-        assert bounds == boundaries(q)
-        assert repr(bounds._upper) == repr(bounds.a * bounds.sum_scale)
-        assert repr(bounds._lower) == repr(bounds.b * bounds.sum_scale)
-        assert bounds.upper_sum_bound(7) == 7 * bounds.drift + bounds.a * bounds.sum_scale
-    assert c._boundaries.b == math.log(0.03 / 0.99) and other._boundaries.b == -math.inf
-
-
-@pytest.mark.parametrize("how", ["replaced", "pickled"])
-def test_sprt_thresholds_follow_the_boundary_fields(how):
-    want = boundaries(SprtConfig(-0.5, 1.5, 2.0, gamma=0.01, delta=0.03))
-    if how == "replaced":
-        got = replace(boundaries(SprtConfig(0.0, 1.0)), a=want.a, b=want.b,
-                      sum_scale=want.sum_scale, drift=want.drift)
-    else:
-        got = pickle.loads(pickle.dumps(want))
-    assert got == want
-    assert (repr(got._upper), repr(got._lower)) == (repr(want.a * want.sum_scale), repr(want.b * want.sum_scale))
+        assert q.a == math.log((1.0 - q.delta) / q.gamma)
+        assert q.sum_scale == q.sigma2 / (q.theta1 - q.theta0)
+        assert q.drift == (q.theta1 + q.theta0) / 2.0
+        assert repr(q._upper) == repr(q.a * q.sum_scale)
+        assert repr(q._lower) == repr(q.b * q.sum_scale)
+    assert c.b == math.log(0.03 / 0.99) and other.b == -math.inf
 
 
 def test_step_decision_regions():
     cfg = SprtConfig(0.0, 1.0, 1.0, gamma=0.01, delta=0.01)
-    b = boundaries(cfg)
     n = 4
-    centered_reject = b.a * b.sum_scale + n * b.drift
-    centered_accept = b.b * b.sum_scale + n * b.drift
-    assert sprt_step(b, cfg, n, centered_reject) is SprtDecision.REJECT_H0
-    assert sprt_step(b, cfg, n, centered_accept) is SprtDecision.ACCEPT_H0
-    assert sprt_step(b, cfg, n, n * b.drift) is SprtDecision.CONTINUE
+    centered_reject = cfg.a * cfg.sum_scale + n * cfg.drift
+    centered_accept = cfg.b * cfg.sum_scale + n * cfg.drift
+    assert sprt_step(cfg, n, centered_reject) is SprtDecision.REJECT_H0
+    assert sprt_step(cfg, n, centered_accept) is SprtDecision.ACCEPT_H0
+    assert sprt_step(cfg, n, n * cfg.drift) is SprtDecision.CONTINUE
     with pytest.raises(ValueError, match="n must be >= 1"):
-        sprt_step(b, cfg, 0, 0.0)
+        sprt_step(cfg, 0, 0.0)
 
 
 def test_run_sprt_stops_at_first_crossing():
