@@ -170,8 +170,13 @@ def _staged_outputs(*paths: str | None):
     only after the block completes, and removed if it raises, so a failed
     command leaves none of its outputs behind.  A destination that exists
     but is not a regular file (a pipe, or a device such as /dev/stdout)
-    cannot be replaced and is written directly.
+    cannot be replaced and is written directly.  Two paths that resolve
+    to the same file are refused before any file is created.
     """
+    dests = [os.path.realpath(path) for path in paths if path is not None]
+    for dest in dests:
+        if dests.count(dest) > 1:
+            raise ValueError(f"two outputs resolve to the same file: {dest}")
     staged = []  # (temp path or None, destination, file)
     try:
         for i, path in enumerate(paths):

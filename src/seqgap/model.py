@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, itemgetter
-from typing import Iterable
+from typing import Iterable, TypeAlias
 
 import numpy as np
 
@@ -79,25 +79,10 @@ class ModelParams:
         return out
 
 
-@dataclass(frozen=True)
-class SufficientStats:
-    """Time index n and per-stream cumulative sums S_1..S_K."""
-
-    n: int
-    sums: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"time index must be >= 0, got {self.n}")
-        object.__setattr__(self, "sums", tuple(float(s) for s in self.sums))
-
-    @classmethod
-    def initial(cls, K: int) -> SufficientStats:
-        return cls(0, (0.0,) * K)
-
-    @property
-    def K(self) -> int:
-        return len(self.sums)
+# What every rule reads: the time index n and the per-stream cumulative
+# sums S_1..S_K, as a bare ``(n, sums)`` tuple that ``update_stats``
+# builds once per step.
+SufficientStats: TypeAlias = tuple[int, tuple[float, ...]]
 
 
 def sample_increment(params: ModelParams, rng: np.random.Generator) -> tuple[float, ...]:
@@ -135,25 +120,19 @@ def sample_block(params: ModelParams, rng: np.random.Generator, count: int) -> n
 
 
 def update_stats(stats: SufficientStats, obs: Iterable[float]) -> SufficientStats:
-    """Fold one observation vector of real numbers into the cumulative sums.
+    """Fold one observation vector of real numbers into ``(n, sums)``.
 
-    The sums are floats and a float plus a real number is a float, so the
-    result skips the public constructor's re-validation.  A list or tuple
-    row is read as it is; any other iterable is copied once.
+    Returns ``(n + 1, sums + obs)``.  A list or tuple row is read as it
+    is; any other iterable is copied once.
     """
     if isinstance(obs, (list, tuple)):
         values = obs
     else:
         values = tuple(obs)
-    sums = stats.sums
+    n, sums = stats
     if len(values) != len(sums):
         raise ValueError(f"observation length {len(values)} != K={len(sums)}")
-    # built without __post_init__: this runs once per step
-    result = object.__new__(SufficientStats)
-    fields = result.__dict__
-    fields["n"] = stats.n + 1
-    fields["sums"] = tuple(map(add, sums, values))
-    return result
+    return n + 1, tuple(map(add, sums, values))
 
 
 _SUM = itemgetter(1)
@@ -169,13 +148,15 @@ def ordered_sums(stats: SufficientStats) -> list[tuple[int, float]]:
     and sorted once by sum; Python's sort is stable under ``reverse=True``,
     so equal sums keep their ascending stream order.
     """
-    return sorted(enumerate(stats.sums, 1), key=_SUM, reverse=True)
+    _, sums = stats
+    return sorted(enumerate(sums, 1), key=_SUM, reverse=True)
 
 
 def gap_statistic(stats: SufficientStats, k: int) -> float:
     """Gap between the k-th and (k+1)-th largest cumulative sums; always >= 0."""
-    if not 1 <= k <= stats.K - 1:
-        raise ValueError(f"gap index must be in 1..{stats.K - 1}, got {k}")
+    _, sums = stats
+    if not 1 <= k < len(sums):
+        raise ValueError(f"gap index must be in 1..{len(sums) - 1}, got {k}")
     ranked = ordered_sums(stats)
     return ranked[k - 1][1] - ranked[k][1]
 
@@ -189,7 +170,7 @@ def llr_star(stats: SufficientStats, i: int, params: ModelParams) -> float:
     stopping rules depend on differences only.  The factor mu/(1-rho) is
     computed once, when the params are built.
     """
-    sums = stats.sums
+    n, sums = stats
     if not 1 <= i <= len(sums):
         raise ValueError(f"stream index must be in 1..{len(sums)}, got {i}")
-    return params._llr_scale * (sums[i - 1] - stats.n * params.mu / 2.0)
+    return params._llr_scale * (sums[i - 1] - n * params.mu / 2.0)

@@ -32,7 +32,7 @@ from typing import Callable, Iterator, Literal, NamedTuple, Sequence, TypeAlias
 import numpy as np
 
 from .metrics import MetricEstimates, aggregate, binomial, confusion, sample_mean
-from .model import ModelParams, SufficientStats, sample_block, update_stats
+from .model import ModelParams, sample_block, update_stats
 from .rules import (
     GapRuleConfig,
     GapRuleSpec,
@@ -144,8 +144,6 @@ class ExperimentSpec:
     horizon_cap: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}")
         self.rule.check(self.params)
         calibrated_rule(self)  # surface calibration errors at construction
         # the asymptote sets the default horizon and the report's ratio;
@@ -160,21 +158,28 @@ class ExperimentSpec:
                 "is not a finite positive number"
             )
         # not a field: equality, hashing and repr stay those of the seven fields
-        object.__setattr__(self, "_horizon", _run_horizon(self.replications, self.horizon_cap, asymptote))
+        horizon = _run_horizon(self.master_seed, self.replications, self.horizon_cap, asymptote)
+        object.__setattr__(self, "_horizon", horizon)
 
     def resolved_horizon_cap(self) -> int:
         """``horizon_cap``, or the default horizon of ``_run_horizon``."""
         return self._horizon
 
 
-def _run_horizon(replications: int, horizon_cap: int | None, asymptote: float) -> int:
-    """Check a run's size and return its horizon.
+def _run_horizon(
+    master_seed: int, replications: int, horizon_cap: int | None, asymptote: float
+) -> int:
+    """Check a run's seed and size and return its horizon.
 
+    The seed must be an unsigned 64-bit integer: the trial keys reduce it
+    mod 2^64, so a seed outside that range would repeat one inside it.
     The horizon is ``horizon_cap``, or by default 50x the ``asymptote``
     (the mean sample size as the error levels vanish), rounded up, at
     least 1000.  A run whose worst case, every trial reaching the horizon,
     exceeds ``_MAX_WORST_CASE_STEPS`` is refused before it starts.
     """
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     if horizon_cap is not None and horizon_cap < 1:
@@ -255,16 +260,16 @@ def _block_sizes(horizon: int, first_block: int) -> Iterator[int]:
 def _rule_trial(spec: ExperimentSpec, horizon: int) -> Trial:
     params = spec.params
     step, arg = spec.rule.stepper(calibrated_rule(spec), params)
-    start = SufficientStats.initial(params.K)
+    start = (0, (0.0,) * params.K)
 
     def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
         stats = start
         for count in _block_sizes(horizon, first_block):
             for row in sample_block(params, rng, count).tolist():
                 stats = update_stats(stats, row)
-                decision = step(stats, arg)
-                if decision.stopped:
-                    return stats.n, decision.rejected
+                rejected = step(stats, arg)
+                if rejected is not None:
+                    return stats[0], rejected
         return horizon, None
 
     return trial
@@ -526,12 +531,12 @@ def sprt_error_mc(
     errors (conservative) and are also reported separately.  The runs go
     through the harness's trial loop as one stream whose signal set is
     empty under h0 and {1} under h1, so a run errs exactly when V + W > 0.
-    The run size is checked, and the horizon defaults, as for an
+    The seed and run size are checked, and the horizon defaults, as for an
     :class:`ExperimentSpec`, with the SPRT's asymptotic mean sample size.
     """
     if truth not in ("h0", "h1"):
         raise ValueError(f"truth must be 'h0' or 'h1', got {truth!r}")
-    horizon = _run_horizon(replications, horizon_cap, asn_asymptotic(config))
+    horizon = _run_horizon(master_seed, replications, horizon_cap, asn_asymptotic(config))
     signal_set = frozenset() if truth == "h0" else _STREAM_1
     trials = _run_trials(master_seed, 0, replications, _sprt_trial(config, truth, horizon), signal_set, 1)
     time = sample_mean(trials.T)

@@ -47,7 +47,6 @@ __all__ = [
     "MaxGapRuleSpec",
     "RULE_KINDS",
     "RuleSpec",
-    "StopDecision",
     "Stepper",
     "VARIANT_SQRT2",
     "VARIANT_UNSCALED",
@@ -71,30 +70,6 @@ GI_CORRELATED_UNSUPPORTED = (
     "the gap-intersection baseline is calibrated for independent streams (rho=0); "
     "pass experimental_correlated=True to run it on correlated streams anyway"
 )
-
-
-@dataclass(frozen=True)
-class StopDecision:
-    """Continue, or stop with the 1-based set of rejected streams."""
-
-    stopped: bool
-    rejected: frozenset[int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.stopped != (self.rejected is not None):
-            raise ValueError("rejected must be present exactly when stopped")
-        if self.rejected is not None:
-            object.__setattr__(self, "rejected", frozenset(int(i) for i in self.rejected))
-
-    @classmethod
-    def _trusted(cls, rejected: frozenset[int]) -> StopDecision:
-        """A stop built without ``__post_init__``: the caller passes a frozenset of ints."""
-        decision = object.__new__(cls)
-        decision.__dict__.update(stopped=True, rejected=rejected)
-        return decision
-
-
-CONTINUE = StopDecision(False)
 
 
 @dataclass(frozen=True)
@@ -161,22 +136,23 @@ def _top_streams(sums: tuple[float, ...], cut: float) -> frozenset[int]:
     return frozenset(i for i, s in enumerate(sums, 1) if s >= cut)
 
 
-def gap_rule_step(stats: SufficientStats, cfg: GapRuleConfig) -> StopDecision:
+def gap_rule_step(stats: SufficientStats, cfg: GapRuleConfig) -> frozenset[int] | None:
     """Stop when the m-th ordered-sum gap reaches G; reject the top m streams.
 
-    The bare sums are sorted once, descending and without a key.
+    Returns the rejected streams on a stop and None otherwise.  The bare
+    sums are sorted once, descending and without a key.
     """
-    if stats.n < 1:
+    n, sums = stats
+    if n < 1:
         raise ValueError("rule stepping starts at n >= 1")
-    sums = stats.sums
     m = cfg.m
     if not 1 <= m < len(sums):
         raise ValueError(f"gap index must be in 1..{len(sums) - 1}, got {m}")
     ranked = sorted(sums, reverse=True)
     cut = ranked[m - 1]
     if cut - ranked[m] >= cfg.G:
-        return StopDecision._trusted(_top_streams(sums, cut))
-    return CONTINUE
+        return _top_streams(sums, cut)
+    return None
 
 
 @dataclass(frozen=True)
@@ -246,16 +222,17 @@ def calibrate_maxgap(
     )
 
 
-def maxgap_rule_step(stats: SufficientStats, cfg: MaxGapRuleConfig) -> StopDecision:
+def maxgap_rule_step(stats: SufficientStats, cfg: MaxGapRuleConfig) -> frozenset[int] | None:
     """Stop when max_{l < i < u} gap(i) reaches e(n); reject the top p streams.
 
-    p is the maximizing gap index, smallest index on ties (the conservative
-    choice: fewer rejections).  On every stop l < p < u by construction.
-    The bare sums are sorted once, descending and without a key.
+    Returns the rejected streams on a stop and None otherwise.  p is the
+    maximizing gap index, smallest index on ties (the conservative choice:
+    fewer rejections).  On every stop l < p < u by construction.  The bare
+    sums are sorted once, descending and without a key.
     """
-    if stats.n < 1:
+    n, sums = stats
+    if n < 1:
         raise ValueError("rule stepping starts at n >= 1")
-    sums = stats.sums
     l, u = cfg.l, cfg.u
     if l < 0 or u > len(sums):
         raise ValueError(f"gap indices {l + 1}..{u - 1} must be in 1..{len(sums) - 1}")
@@ -263,9 +240,9 @@ def maxgap_rule_step(stats: SufficientStats, cfg: MaxGapRuleConfig) -> StopDecis
     gaps = list(map(sub, ranked[l:u - 1], ranked[l + 1:u]))  # gap(i) for l < i < u
     if gaps:  # empty when u == l + 1: no eligible index, never stop
         best_gap = max(gaps)  # the first of equal maxima
-        if best_gap >= cfg.base + cfg.slope * stats.n:  # e(n)
-            return StopDecision._trusted(_top_streams(sums, ranked[l + gaps.index(best_gap)]))
-    return CONTINUE
+        if best_gap >= cfg.base + cfg.slope * n:  # e(n)
+            return _top_streams(sums, ranked[l + gaps.index(best_gap)])
+    return None
 
 
 @dataclass(frozen=True)
@@ -306,7 +283,7 @@ def calibrate_gi(l: int, u: int, K: int, alpha: float, beta: float) -> GIRuleCon
     )
 
 
-def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> StopDecision:
+def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> frozenset[int] | None:
     """One step of the gap-intersection rule on per-stream log-likelihood ratios.
 
     With ordered statistics lam(1) >= ... >= lam(K) and p = #{positive llrs}:
@@ -317,7 +294,8 @@ def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> StopDecision:
 
     The top p llrs are the positive ones, so with a, b > 0 the intersection
     criterion reads lam(p) >= b and lam(p+1) <= -a.  On stop the top p'
-    streams are rejected, p' = p clamped into [l, u].
+    streams are returned as the rejected set, p' = p clamped into [l, u];
+    otherwise None.
 
     The llrs are sorted once, ascending and without a key, so lam(j) is
     ``ascending[K - j]`` and p is K minus the count of llrs <= 0.0.  Equal
@@ -337,21 +315,25 @@ def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> StopDecision:
     tau3 = ascending[K - u] >= cfg.b and ascending[K - u] - ascending[K - u - 1] >= cfg.d
 
     if not (tau1 or tau2 or tau3):
-        return CONTINUE
+        return None
     order = sorted(range(K), key=llrs.__getitem__, reverse=True)  # stable: ties by stream
     p_prime = min(max(p, l), u)
-    return StopDecision._trusted(frozenset(order[i] + 1 for i in range(p_prime)))
+    return frozenset(order[i] + 1 for i in range(p_prime))
 
 
 # A stepper is a (function, argument) pair: the trial loop calls
-# ``function(stats, argument)`` once per step.  ``stepper`` reads the
-# function by module-global name when it builds the pair, and ``_gi_step``
-# reads ``llr_star`` and ``gi_rule_step`` by name at call time, so a
-# profiler that rebinds those names before the pair is built sees every call.
-Stepper = tuple[Callable[[SufficientStats, Any], StopDecision], Any]
+# ``function(stats, argument)`` once per step, with ``stats`` the
+# ``(n, sums)`` tuple, and the call returns the rejected set on a stop and
+# None otherwise.  ``stepper`` reads the function by module-global name
+# when it builds the pair, and ``_gi_step`` reads ``llr_star`` and
+# ``gi_rule_step`` by name at call time, so a profiler that rebinds those
+# names before the pair is built sees every call.
+Stepper = tuple[Callable[[SufficientStats, Any], frozenset[int] | None], Any]
 
 
-def _gi_step(stats: SufficientStats, arg: tuple[GIRuleConfig, ModelParams, range]) -> StopDecision:
+def _gi_step(
+    stats: SufficientStats, arg: tuple[GIRuleConfig, ModelParams, range]
+) -> frozenset[int] | None:
     """One GI step from the sums: the K ``llr_star`` calls, then ``gi_rule_step``."""
     cfg, params, streams = arg
     # a comprehension, not map: CPython 3.11 runs a call from Python code in

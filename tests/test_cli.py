@@ -524,6 +524,22 @@ def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_outputs_resolving_to_one_file_are_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_experiment_with_trials", _refuse_to_run)
+    cfg = write_config(tmp_path, base_config())
+    report, link = tmp_path / "r.csv", tmp_path / "link.csv"
+    report.write_text("earlier report\n")
+    link.symlink_to(report)
+    (tmp_path / "t").mkdir()
+    for dump in (report, tmp_path / "t" / ".." / "r.csv", link):
+        capsys.readouterr()
+        assert run_cli(["simulate", "--config", cfg, "--out", report, "--trial-dump", dump]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: two outputs resolve to the same file: {os.path.realpath(report)}\n"
+    assert report.read_text() == "earlier report\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "link.csv", "r.csv", "t"]
+
+
 def test_failed_run_leaves_no_outputs(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("worker failed")

@@ -1,10 +1,11 @@
-"""The one-sort stepping and the trusted sums update against scalar references.
+"""The one-sort stepping and the sums update against scalar references.
 
 The references are the earlier implementations: a tuple-keyed sort for the
 ordering, one ``gap_statistic`` call (a full sort) per gap index and the
-tie rule of ``ordered_sums`` for the gap and max-gap rules, and the
-validating public constructor for ``update_stats``.  The sums are drawn with forced ties (repeated values,
-0.0 next to -0.0, all-equal rows, equal gaps), where a tie rule would show.
+tie rule of ``ordered_sums`` for the gap and max-gap rules, and an
+elementwise sum for ``update_stats``.  The sums are drawn with forced ties
+(repeated values, 0.0 next to -0.0, all-equal rows, equal gaps), where a
+tie rule would show.
 """
 
 import csv
@@ -25,7 +26,6 @@ from seqgap.cli import TRIAL_DUMP_SCHEMA, write_trial_dump
 from seqgap.metrics import Estimate, MetricEstimates, binomial, confusion
 from seqgap.model import (
     ModelParams,
-    SufficientStats,
     gap_statistic,
     ordered_sums,
     update_stats,
@@ -44,11 +44,9 @@ from seqgap.montecarlo import (
     summarize,
 )
 from seqgap.rules import (
-    CONTINUE,
     GapRuleConfig,
     GIRuleConfig,
     MaxGapRuleConfig,
-    StopDecision,
     VARIANT_SQRT2,
     gap_rule_step,
     gi_rule_step,
@@ -72,20 +70,22 @@ def reference_order(values):
 
 
 def reference_gap_step(stats, cfg):
+    _, sums = stats
     if gap_statistic(stats, cfg.m) >= cfg.G:
-        return StopDecision(True, frozenset(i for i, _ in reference_order(stats.sums)[: cfg.m]))
-    return CONTINUE
+        return frozenset(i for i, _ in reference_order(sums)[: cfg.m])
+    return None
 
 
 def reference_maxgap_step(stats, cfg):
+    n, sums = stats
     best_i, best_gap = -1, -float("inf")
     for i in range(cfg.l + 1, cfg.u):
         g = gap_statistic(stats, i)
         if g > best_gap:
             best_i, best_gap = i, g
-    if best_gap >= cfg.threshold_at(stats.n):
-        return StopDecision(True, frozenset(i for i, _ in reference_order(stats.sums)[:best_i]))
-    return CONTINUE
+    if best_gap >= cfg.threshold_at(n):
+        return frozenset(i for i, _ in reference_order(sums)[:best_i])
+    return None
 
 
 def reference_gi_step(llrs, cfg):
@@ -96,9 +96,16 @@ def reference_gi_step(llrs, cfg):
     tau2 = cfg.l <= p <= cfg.u and all(not (-cfg.a < x < cfg.b) for x in llrs)
     tau3 = lam[cfg.u - 1] >= cfg.b and lam[cfg.u - 1] - lam[cfg.u] >= cfg.d
     if not (tau1 or tau2 or tau3):
-        return CONTINUE
+        return None
     p_prime = min(max(p, cfg.l), cfg.u)
-    return StopDecision(True, frozenset(order[i] + 1 for i in range(p_prime)))
+    return frozenset(order[i] + 1 for i in range(p_prime))
+
+
+def assert_step_result(rejected):
+    """A step returns None, or a frozenset of 1-based Python int streams."""
+    if rejected is not None:
+        assert type(rejected) is frozenset
+        assert all(type(i) is int for i in rejected)
 
 
 def threshold(values, draw):
@@ -112,7 +119,7 @@ def threshold(values, draw):
 @example([0.0, -0.0, 0.0, -0.0])
 @example([2.5] * 6)
 def test_ordered_sums_matches_tuple_key_reference(values):
-    assert ordered_sums(SufficientStats(3, tuple(values))) == reference_order(values)
+    assert ordered_sums((3, tuple(values))) == reference_order(values)
 
 
 def _gap_cfg(m, G):
@@ -122,22 +129,24 @@ def _gap_cfg(m, G):
 @st.composite
 def gap_cases(draw):
     values = draw(sums_lists)
-    stats = SufficientStats(draw(st.integers(1, 50)), tuple(values))
+    stats = (draw(st.integers(1, 50)), tuple(values))
     return stats, _gap_cfg(draw(st.integers(1, len(values) - 1)), threshold(values, draw))
 
 
 @given(gap_cases())
 # equal sums just below the cut, the gap above them exactly G
-@example((SufficientStats(1, (3.0, 5.0, 3.0, 1.0)), _gap_cfg(1, 2.0)))
-@example((SufficientStats(1, (3.0, 5.0, 3.0, 1.0)), _gap_cfg(2, 2.0)))  # the tie straddles: no stop
+@example(((1, (3.0, 5.0, 3.0, 1.0)), _gap_cfg(1, 2.0)))
+@example(((1, (3.0, 5.0, 3.0, 1.0)), _gap_cfg(2, 2.0)))  # the tie straddles: no stop
 # 0.0 beside -0.0 inside the top group, the cut at a zero
-@example((SufficientStats(1, (-2.0, 0.0, -0.0, -3.0)), _gap_cfg(2, 2.0)))
-@example((SufficientStats(1, (-0.0, -2.0, 0.0, -3.0)), _gap_cfg(2, 1.5)))
+@example(((1, (-2.0, 0.0, -0.0, -3.0)), _gap_cfg(2, 2.0)))
+@example(((1, (-0.0, -2.0, 0.0, -3.0)), _gap_cfg(2, 1.5)))
 # the gap exactly G
-@example((SufficientStats(1, (1.5, 4.0, 0.0)), _gap_cfg(1, 2.5)))
+@example(((1, (1.5, 4.0, 0.0)), _gap_cfg(1, 2.5)))
 def test_gap_step_matches_per_index_reference(case):
     stats, cfg = case
-    assert gap_rule_step(stats, cfg) == reference_gap_step(stats, cfg)
+    rejected = gap_rule_step(stats, cfg)
+    assert_step_result(rejected)
+    assert rejected == reference_gap_step(stats, cfg)
 
 
 def _maxgap_cfg(l, u, base, slope):
@@ -155,20 +164,22 @@ def maxgap_cases(draw):
     n = draw(st.integers(1, 50))
     slope = draw(st.sampled_from([0.0, 0.5]))
     base = max(threshold(values, draw) - slope * n, 1e-6)
-    return SufficientStats(n, tuple(values)), _maxgap_cfg(l, u, base, slope)
+    return (n, tuple(values)), _maxgap_cfg(l, u, base, slope)
 
 
 @given(maxgap_cases())
 # eligible gaps 2 and 3 equal and at the threshold: the smaller index must win
-@example((SufficientStats(1, (9.0, 4.0, 3.0, 2.0, 0.0)), _maxgap_cfg(1, 4, base=1.0, slope=0.0)))
+@example(((1, (9.0, 4.0, 3.0, 2.0, 0.0)), _maxgap_cfg(1, 4, base=1.0, slope=0.0)))
 # equal sums just below the cut, gap(2) exactly e(2) = 1.0 + 0.5 * 2
-@example((SufficientStats(2, (3.0, 9.0, 5.0, 3.0, 0.0)), _maxgap_cfg(1, 4, base=1.0, slope=0.5)))
+@example(((2, (3.0, 9.0, 5.0, 3.0, 0.0)), _maxgap_cfg(1, 4, base=1.0, slope=0.5)))
 # 0.0 beside -0.0 inside the top group, gap(3) exactly e(n)
-@example((SufficientStats(1, (0.0, -3.0, -0.0, 0.0, -4.0)), _maxgap_cfg(1, 4, base=3.0, slope=0.0)))
-@example((SufficientStats(1, (-0.0, -3.0, 0.0, -0.0, -4.0)), _maxgap_cfg(1, 4, base=3.0, slope=0.0)))
+@example(((1, (0.0, -3.0, -0.0, 0.0, -4.0)), _maxgap_cfg(1, 4, base=3.0, slope=0.0)))
+@example(((1, (-0.0, -3.0, 0.0, -0.0, -4.0)), _maxgap_cfg(1, 4, base=3.0, slope=0.0)))
 def test_maxgap_step_matches_per_index_reference(case):
     stats, cfg = case
-    assert maxgap_rule_step(stats, cfg) == reference_maxgap_step(stats, cfg)
+    rejected = maxgap_rule_step(stats, cfg)
+    assert_step_result(rejected)
+    assert rejected == reference_maxgap_step(stats, cfg)
 
 
 @st.composite
@@ -208,12 +219,14 @@ def _gi_case(llrs, l, u, a, b):
 @example(([1.0, 3.0, 2.0, 0.5], GIRuleConfig(l=1, u=2, a=1e3, b=2.0, c=1e3, d=1.0)))
 def test_gi_step_matches_tuple_key_reference(case):
     llrs, cfg = case
-    assert gi_rule_step(llrs, cfg) == reference_gi_step(llrs, cfg)
+    rejected = gi_rule_step(llrs, cfg)
+    assert_step_result(rejected)
+    assert rejected == reference_gi_step(llrs, cfg)
 
 
 @given(sums_lists, st.integers(0, 1000), st.sampled_from(["floats", "tuple", "ints"]), st.data())
-def test_update_stats_matches_public_constructor(values, n, kind, data):
-    stats = SufficientStats(n, tuple(values))
+def test_update_stats_matches_elementwise_sums(values, n, kind, data):
+    stats = n, tuple(values)
     if kind == "ints":
         obs = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=len(values), max_size=len(values)))
         row = obs
@@ -221,11 +234,11 @@ def test_update_stats_matches_public_constructor(values, n, kind, data):
         row = data.draw(st.lists(finite | st.just(-0.0), min_size=len(values), max_size=len(values)))
         obs = tuple(row) if kind == "tuple" else row
     got = update_stats(stats, obs)
-    want = SufficientStats(n + 1, tuple(s + x for s, x in zip(stats.sums, row)))
+    want = n + 1, tuple(float(s + x) for s, x in zip(values, row))
     assert got == want
     # repr tells -0.0 from 0.0 and is exact for every other float
-    assert repr(got.sums) == repr(want.sums)
-    assert all(type(s) is float for s in got.sums)
+    assert repr(got[1]) == repr(want[1])
+    assert all(type(s) is float for s in got[1])
 
 
 @pytest.mark.parametrize("stop", [False, True])
@@ -245,19 +258,17 @@ def test_one_ordering_per_step(monkeypatch, rule, stop):
     # a module global shadows the builtin
     monkeypatch.setattr(rules, "sorted", counting_sorted, raising=False)
     monkeypatch.setattr(model, "ordered_sums", counting_ordered_sums)
-    stats = SufficientStats(1, (5.0, 4.0, 1.0, 0.0, -1.0))  # gaps 1, 3, 1, 1
+    stats = 1, (5.0, 4.0, 1.0, 0.0, -1.0)  # gaps 1, 3, 1, 1
     level = 2.0 if stop else 10.0
     if rule == "gap":
         cfg = GapRuleConfig(m=2, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=level)
-        decision = gap_rule_step(stats, cfg)
+        rejected = gap_rule_step(stats, cfg)
     else:
         cfg = MaxGapRuleConfig(
             l=1, u=4, alpha=0.01, beta=0.01, c1_adjust=1.0, variant=VARIANT_SQRT2, base=level, slope=0.0,
         )
-        decision = maxgap_rule_step(stats, cfg)
-    assert decision.stopped is stop
-    if stop:
-        assert decision.rejected == frozenset({1, 2})
+        rejected = maxgap_rule_step(stats, cfg)
+    assert rejected == (frozenset({1, 2}) if stop else None)
     assert len(sorts) == 1
     assert orderings == []
 
@@ -265,11 +276,11 @@ def test_one_ordering_per_step(monkeypatch, rule, stop):
 @pytest.mark.parametrize("obs", [[1.0, 2.0, 3.0, 4.0], (1.0, 2.0), iter([1, 2, 3, 4])])
 def test_update_stats_still_checks_length(obs):
     with pytest.raises(ValueError, match="observation length"):
-        update_stats(SufficientStats.initial(3), obs)
+        update_stats((0, (0.0, 0.0, 0.0)), obs)
 
 
 def test_steps_keep_the_gap_index_checks():
-    stats = SufficientStats(1, (3.0, 2.0, 1.0))
+    stats = 1, (3.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="gap index"):
         gap_rule_step(stats, GapRuleConfig(m=3, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=1.0))
     cfg = MaxGapRuleConfig(
@@ -292,10 +303,8 @@ def _permuted(values, perm):
     )
 
 
-def _same_up_to(rename, decision, permuted_decision):
-    assert permuted_decision.stopped == decision.stopped
-    if decision.stopped:
-        assert permuted_decision.rejected == rename(decision.rejected)
+def _same_up_to(rename, rejected, permuted_rejected):
+    assert permuted_rejected == (None if rejected is None else rename(rejected))
 
 
 @given(distinct_sums, st.data())
@@ -312,7 +321,7 @@ def test_permuting_streams_permutes_gap_and_maxgap_rejections(values, data):
         l=l, u=data.draw(st.integers(l + 2, K)), alpha=0.01, beta=0.01, c1_adjust=1.0,
         variant=VARIANT_SQRT2, base=level, slope=0.0,
     )
-    stats, moved_stats = SufficientStats(n, tuple(values)), SufficientStats(n, tuple(moved))
+    stats, moved_stats = (n, tuple(values)), (n, tuple(moved))
     _same_up_to(rename, gap_rule_step(stats, gap_cfg), gap_rule_step(moved_stats, gap_cfg))
     _same_up_to(rename, maxgap_rule_step(stats, maxgap_cfg), maxgap_rule_step(moved_stats, maxgap_cfg))
 
@@ -495,9 +504,9 @@ def test_adding_c_n_to_every_sum_keeps_gap_and_maxgap_decisions(values, c, n, da
     Whole-number sums and c keep every float addition exact.
     """
     K = len(values)
-    stats = SufficientStats(n, tuple(float(v) for v in values))
-    shifted = SufficientStats(n, tuple(float(v + c * n) for v in values))
-    level = threshold(list(stats.sums), data.draw)
+    stats = n, tuple(float(v) for v in values)
+    shifted = n, tuple(float(v + c * n) for v in values)
+    level = threshold(list(stats[1]), data.draw)
     gap_cfg = GapRuleConfig(m=data.draw(st.integers(1, K - 1)), alpha=0.01, beta=0.01,
                             c1_adjust=1.0, c=1.0, G=level)
     assert gap_rule_step(shifted, gap_cfg) == gap_rule_step(stats, gap_cfg)

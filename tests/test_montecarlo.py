@@ -198,17 +198,19 @@ def _refuse_trials(*args, **kwargs):
     raise AssertionError("a trial ran although the run size is refused")
 
 
-@pytest.mark.parametrize("reps, horizon_cap, fragment", [
-    (10**4, None, "worst case 10000 replications x "),
-    (10, 0, "horizon_cap must be >= 1, got 0"),
-    (0, None, "replications must be >= 1, got 0"),
-], ids=["worst-case", "horizon", "replications"])
-def test_sprt_error_mc_checks_the_run_size_before_any_trial(monkeypatch, reps, horizon_cap, fragment):
-    """The SPRT's runs are sized and refused as an ExperimentSpec's are."""
+@pytest.mark.parametrize("seed, reps, horizon_cap, fragment", [
+    (0, 10**4, None, "worst case 10000 replications x "),
+    (0, 10, 0, "horizon_cap must be >= 1, got 0"),
+    (0, 0, None, "replications must be >= 1, got 0"),
+    (-1, 10, 5, "master_seed must be an unsigned 64-bit integer, got -1"),
+    (2**64, 10, 5, f"master_seed must be an unsigned 64-bit integer, got {2**64}"),
+], ids=["worst-case", "horizon", "replications", "seed-negative", "seed-too-large"])
+def test_sprt_error_mc_checks_the_run_size_before_any_trial(monkeypatch, seed, reps, horizon_cap, fragment):
+    """The SPRT's runs are seeded, sized and refused as an ExperimentSpec's are."""
     monkeypatch.setattr(montecarlo, "_run_trials", _refuse_trials)
     config = SprtConfig(0.0, 1e-3, 1.0, 0.01, 0.01)  # a default horizon of 50 x 9.2e6 steps
     with pytest.raises(ValueError) as info:
-        sprt_error_mc(config, "h1", reps, 0, horizon_cap=horizon_cap)
+        sprt_error_mc(config, "h1", reps, seed, horizon_cap=horizon_cap)
     message = str(info.value)
     assert message.startswith(fragment) and "\n" not in message
     if horizon_cap is None and reps > 0:

@@ -2,14 +2,12 @@ import math
 
 import pytest
 
-from seqgap.model import ModelParams, SufficientStats
+from seqgap.model import ModelParams
 from seqgap.rules import (
-    CONTINUE,
     GapRuleConfig,
     GIRuleConfig,
     GiRuleSpec,
     MaxGapRuleConfig,
-    StopDecision,
     VARIANT_SQRT2,
     VARIANT_UNSCALED,
     calibrate_gap,
@@ -22,7 +20,7 @@ from seqgap.rules import (
 
 
 def stats(*sums, n=1):
-    return SufficientStats(n, tuple(float(s) for s in sums))
+    return n, tuple(float(s) for s in sums)
 
 
 # ---------------------------------------------------------------- gap rule
@@ -89,18 +87,18 @@ def test_calibrate_gap_rejects(kwargs, fragment):
 
 def test_gap_step_threshold_comparison():
     cfg_g3 = GapRuleConfig(m=1, alpha=0.5, beta=0.5, c1_adjust=1.0, c=3.0, G=3.0)
-    assert gap_rule_step(stats(5.0, 1.9, 1.0), cfg_g3) == StopDecision(True, frozenset({1}))
-    assert gap_rule_step(stats(5.0, 2.1, 1.0), cfg_g3) is CONTINUE
+    assert gap_rule_step(stats(5.0, 1.9, 1.0), cfg_g3) == frozenset({1})
+    assert gap_rule_step(stats(5.0, 2.1, 1.0), cfg_g3) is None
     with pytest.raises(ValueError, match="n >= 1"):
-        gap_rule_step(SufficientStats(0, (0.0, 0.0, 0.0)), cfg_g3)
+        gap_rule_step((0, (0.0, 0.0, 0.0)), cfg_g3)
 
 
 def test_gap_step_ties():
     small = GapRuleConfig(m=2, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=1.0)
     # tie inside the rejected block: both tied streams go in
-    assert gap_rule_step(stats(5.0, 5.0, 1.0, 0.0), small).rejected == frozenset({1, 2})
+    assert gap_rule_step(stats(5.0, 5.0, 1.0, 0.0), small) == frozenset({1, 2})
     # tie across the m-th boundary zeroes the gap, so no stop is possible
-    assert gap_rule_step(stats(5.0, 5.0, 5.0, 0.0), small) is CONTINUE
+    assert gap_rule_step(stats(5.0, 5.0, 5.0, 0.0), small) is None
 
 
 def test_gap_step_shift_invariant():
@@ -175,23 +173,23 @@ def test_maxgap_config_keeps_the_threshold_positive(base, slope, fragment):
 
 def test_maxgap_step_single_eligible_index():
     cfg = _maxgap_cfg(1, 3, base=4.0)
-    decision = maxgap_rule_step(stats(9.0, 7.0, 2.0, 1.0, 0.0), cfg)
-    assert decision == StopDecision(True, frozenset({1, 2}))  # gap at i=2 is 5
-    assert maxgap_rule_step(stats(9.0, 7.0, 2.0, 1.0, 0.0), _maxgap_cfg(1, 3, base=6.0)) is CONTINUE
+    rejected = maxgap_rule_step(stats(9.0, 7.0, 2.0, 1.0, 0.0), cfg)
+    assert rejected == frozenset({1, 2})  # gap at i=2 is 5
+    assert maxgap_rule_step(stats(9.0, 7.0, 2.0, 1.0, 0.0), _maxgap_cfg(1, 3, base=6.0)) is None
 
 
 def test_maxgap_step_tie_takes_smallest_index():
     # gaps at i=2 and i=3 both equal 3; p=2 rejects two streams, not three
     cfg = _maxgap_cfg(1, 4, base=3.0)
-    decision = maxgap_rule_step(stats(10.0, 7.0, 4.0, 1.0, 0.0), cfg)
-    assert decision == StopDecision(True, frozenset({1, 2}))
+    rejected = maxgap_rule_step(stats(10.0, 7.0, 4.0, 1.0, 0.0), cfg)
+    assert rejected == frozenset({1, 2})
 
 
 def test_maxgap_step_rejection_count_strictly_inside_bounds():
     cfg = _maxgap_cfg(1, 4, base=0.5)
-    decision = maxgap_rule_step(stats(5.0, 4.0, 3.0, 2.0, 1.0), cfg)
-    assert decision.stopped
-    assert cfg.l < len(decision.rejected) < cfg.u
+    rejected = maxgap_rule_step(stats(5.0, 4.0, 3.0, 2.0, 1.0), cfg)
+    assert rejected is not None
+    assert cfg.l < len(rejected) < cfg.u
 
 
 def test_maxgap_step_shift_invariant():
@@ -233,24 +231,24 @@ def _gi_cfg(l=1, u=2):
 
 def test_gi_step_intersection_criterion():
     # p = 1 within [1, 2] and every llr clear of (-6.2, 6.2)
-    decision = gi_rule_step([-7.0, -6.5, 8.0], _gi_cfg())
-    assert decision == StopDecision(True, frozenset({3}))
+    rejected = gi_rule_step([-7.0, -6.5, 8.0], _gi_cfg())
+    assert rejected == frozenset({3})
 
 
 def test_gi_step_continues_when_an_llr_is_undecided():
-    assert gi_rule_step([-7.0, 3.0, 8.0], _gi_cfg()) is CONTINUE
+    assert gi_rule_step([-7.0, 3.0, 8.0], _gi_cfg()) is None
 
 
 def test_gi_step_undershoot_criterion():
     # second-ranked llr deeply negative with a wide gap above it
-    decision = gi_rule_step([-20.0, -20.0, 20.0], _gi_cfg())
-    assert decision == StopDecision(True, frozenset({3}))
+    rejected = gi_rule_step([-20.0, -20.0, 20.0], _gi_cfg())
+    assert rejected == frozenset({3})
 
 
 def test_gi_step_overshoot_criterion_clamps_to_u():
     # three strongly positive llrs but u = 2: reject the top two only
-    decision = gi_rule_step([30.0, 20.0, 9.0, -30.0], _gi_cfg(1, 2))
-    assert decision == StopDecision(True, frozenset({1, 2}))
+    rejected = gi_rule_step([30.0, 20.0, 9.0, -30.0], _gi_cfg(1, 2))
+    assert rejected == frozenset({1, 2})
 
 
 def test_gi_step_needs_enough_streams():
@@ -261,9 +259,9 @@ def test_gi_step_needs_enough_streams():
 def test_gi_rejection_count_within_bounds():
     cfg = _gi_cfg(1, 2)
     for llrs in ([-7.0, -6.5, 8.0], [-20.0, -20.0, 20.0], [30.0, 20.0, 9.0, -30.0]):
-        decision = gi_rule_step(llrs, cfg)
-        if decision.stopped:
-            assert cfg.l <= len(decision.rejected) <= cfg.u
+        rejected = gi_rule_step(llrs, cfg)
+        if rejected is not None:
+            assert cfg.l <= len(rejected) <= cfg.u
 
 
 # -------------------------------------------------------------- asymptotes
@@ -275,10 +273,3 @@ def test_gi_asymptote_adds_two_equal_information_numbers(mu, want):
     """|log level| / (eta0 + eta1), with eta0 = eta1 = mu^2/2 for every stream."""
     p = ModelParams(K=3, rho=0.0, mu=mu, signal_set=frozenset({1}))
     assert repr(GiRuleSpec(l=1, u=2).asymptote(p, 2.0)) == repr(want)
-
-
-def test_stop_decision_invariant():
-    with pytest.raises(ValueError, match="rejected"):
-        StopDecision(True, None)
-    with pytest.raises(ValueError, match="rejected"):
-        StopDecision(False, frozenset({1}))
