@@ -13,12 +13,14 @@ The package namespace holds what an experiment needs; everything else is
 imported from its submodule (``seqgap.model``, ``seqgap.rules``,
 ``seqgap.montecarlo``, ``seqgap.metrics``, ``seqgap.sprt``,
 ``seqgap.config``), each of which lists its public names in ``__all__``.
+
+Importing the package loads no numpy: ``run_experiment`` is resolved from
+``seqgap.montecarlo``, the engine, on first access.
 """
 
 from ._version import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, ExperimentSpec, load_config
 from .model import ModelParams
-from .montecarlo import ExperimentSpec, run_experiment
 from .rules import GapRuleSpec, GiRuleSpec, MaxGapRuleSpec
 
 __all__ = [
@@ -32,3 +34,11 @@ __all__ = [
     "load_config",
     "run_experiment",
 ]
+
+
+def __getattr__(name: str):
+    if name == "run_experiment":
+        from .montecarlo import run_experiment
+
+        return run_experiment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,6 +11,9 @@ and the resolved config, and contains no timestamps, so reruns are
 bit-identical.  Exit codes: 0 ok, 1 usage or config error, 2 experiment
 completed but unreliable (too many truncated trials), 3 I/O or worker
 failure.
+
+``calibrate``, ``sprt-asn`` and a config error load no numpy: the engine
+(``seqgap.montecarlo``) is imported by ``simulate`` and ``sweep`` alone.
 """
 
 from __future__ import annotations
@@ -23,21 +26,25 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import replace
-from typing import Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from ._version import __version__
-from .config import ConfigError, FORMATS, ParsedConfig, load_config, resolved_config_dict, rule_dict
-from .montecarlo import (
-    ExperimentSpec,
-    ExperimentSummary,
+from .config import (
+    FORMATS,
     GENERATOR_ID,
-    TrialColumns,
-    run_experiment_with_trials,
-    sweep,
+    ConfigError,
+    ExperimentSpec,
+    ParsedConfig,
+    load_config,
+    resolved_config_dict,
+    rule_dict,
 )
 from .sprt import SprtConfig, asn_asymptotic, asn_wald
+
+if TYPE_CHECKING:
+    from .montecarlo import ExperimentSummary, TrialColumns
 
 __all__ = ["SCHEMA", "build_parser", "experiment_id", "main", "summary_row"]
 
@@ -254,6 +261,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     parsed = _apply_overrides(load_config(args.config), args)
+    from .montecarlo import run_experiment_with_trials  # the engine: numpy loads only now
+
     with _staged_outputs(parsed.out_path, args.trial_dump) as (out, dump):
         summary, trials = run_experiment_with_trials(parsed.spec, workers=args.workers)
         _emit(parsed, [summary_row(parsed.spec, summary)], out)
@@ -267,6 +276,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if parsed.sweep_kind is None:
         raise ConfigError("sweep command requires a sweep section (alpha_grid or rho_grid)")
     assert parsed.sweep_grid is not None
+    from .montecarlo import sweep  # the engine: numpy loads only now
+
     with _staged_outputs(parsed.out_path) as (out,):
         points = sweep(parsed.spec, parsed.sweep_kind, parsed.sweep_grid, workers=args.workers)
         _emit(parsed, [summary_row(pt.spec, pt.summary) for pt in points], out)
@@ -347,7 +358,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:  # BrokenProcessPool, without importing multiprocessing
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 3
 

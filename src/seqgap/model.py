@@ -11,6 +11,11 @@ which reproduces the equicorrelated covariance exactly and costs K + 1
 univariate normals per step.
 
 Stream indices are 1-based everywhere in the public API.
+
+Building a ``ModelParams`` loads no numpy and costs O(|signal_set|), not
+O(K), so parsing and calibrating a config stay cheap at any K.  The
+read-only ``(scale_row, mean_row)`` pair that ``sample_block`` reads is
+built on its first call for each params object and attached to it.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, itemgetter
-from typing import Iterable, TypeAlias
+from typing import TYPE_CHECKING, Iterable, TypeAlias
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -53,26 +59,20 @@ class ModelParams:
             raise ValueError(f"rho out of range [0, 1): {self.rho}")
         if not self.mu > 0.0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.signal_set <= frozenset(range(1, self.K + 1)):
-            bad = sorted(self.signal_set - frozenset(range(1, self.K + 1)))
+        bad = sorted(i for i in self.signal_set if not 1 <= i <= self.K)
+        if bad:
             raise ValueError(f"signal_set contains streams outside 1..{self.K}: {bad}")
-        # not fields: equality, hashing and repr stay those of the four fields
-        mean_row = self.mean_vector()
-        mean_row.flags.writeable = False
-        object.__setattr__(self, "_mean_row", mean_row)
-        # sqrt(1 - rho) for the K idiosyncratic terms, then sqrt(rho) for the shared one
-        scale_row = np.full(self.K + 1, math.sqrt(1.0 - self.rho))
-        scale_row[self.K] = math.sqrt(self.rho)
-        scale_row.flags.writeable = False
-        object.__setattr__(self, "_scale_row", scale_row)
+        # not a field: equality, hashing and repr stay those of the four fields
         object.__setattr__(self, "_llr_scale", self.mu / (1.0 - self.rho))
 
     def __reduce__(self):
-        # rebuild from the fields: an unpickled array would come back writeable
+        # rebuild from the fields: the rows of _block_rows would come back writeable
         return ModelParams, (self.K, self.rho, self.mu, self.signal_set)
 
     def mean_vector(self) -> np.ndarray:
         """Per-stream means: mu on signal streams, 0 on noise streams."""
+        import numpy as np
+
         out = np.zeros(self.K)
         for i in self.signal_set:
             out[i - 1] = self.mu
@@ -111,12 +111,36 @@ def sample_block(params: ModelParams, rng: np.random.Generator, count: int) -> n
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    try:
+        scale_row, mean_row = params._block_rows
+    except AttributeError:
+        scale_row, mean_row = _build_block_rows(params)
     K = params.K
     eps = rng.standard_normal((count, K + 1))
-    eps *= params._scale_row
+    eps *= scale_row
     z = eps[:, :K]
-    z += params._mean_row
+    z += mean_row
     return z + eps[:, K:]
+
+
+def _build_block_rows(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Build the params' read-only (scale_row, mean_row) pair and attach it.
+
+    The scale row is sqrt(1 - rho) for the K idiosyncratic terms, then
+    sqrt(rho) for the shared one.  The pair is attached with
+    ``object.__setattr__``, not by ``functools.cached_property``: on
+    CPython 3.11 a write to the instance ``__dict__`` slows every later
+    attribute read on the object, ``_llr_scale`` included.
+    """
+    import numpy as np
+
+    scale_row = np.full(params.K + 1, math.sqrt(1.0 - params.rho))
+    scale_row[params.K] = math.sqrt(params.rho)
+    mean_row = params.mean_vector()
+    scale_row.flags.writeable = mean_row.flags.writeable = False
+    rows = scale_row, mean_row
+    object.__setattr__(params, "_block_rows", rows)
+    return rows
 
 
 def update_stats(stats: SufficientStats, obs: Iterable[float]) -> SufficientStats:

@@ -17,6 +17,9 @@ Truncated trials (no stop by the horizon cap) are scored as maximally
 wrong: their rejected set is the complement of the signal set, which
 drives every error indicator and proportion to 1 and keeps the confusion
 identities exact.  Over 5% truncations flag an experiment unreliable.
+
+``ExperimentSpec`` and the names that check and calibrate it live in
+``seqgap.config``, which loads no numpy; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -25,23 +28,24 @@ import math
 import os
 from array import array
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
-from .metrics import MetricEstimates, aggregate, binomial, confusion, sample_mean
-from .model import ModelParams, sample_block, update_stats
-from .rules import (
-    GapRuleConfig,
-    GapRuleSpec,
-    GiRuleSpec,
-    GIRuleConfig,
-    MaxGapRuleConfig,
-    MaxGapRuleSpec,
-    RuleSpec,
+from .config import (
+    _MASK64,
+    GENERATOR_ID,
+    ExperimentSpec,
+    _run_horizon,
+    calibrated_rule,
+    sweep_specs,
+    theoretical_asymptote,
 )
+from .metrics import MetricEstimates, aggregate, binomial, confusion, sample_mean
+from .model import sample_block, update_stats
+from .rules import GapRuleSpec, GiRuleSpec, MaxGapRuleSpec, RuleSpec
 from .sprt import SprtConfig, SprtDecision, SprtTruncated, asn_asymptotic, run_sprt
 
 __all__ = [
@@ -72,21 +76,12 @@ __all__ = [
     "trial_generator",
 ]
 
-# Identifies the pinned pseudorandom scheme in every output artifact.
-GENERATOR_ID = "philox4x64/splitmix64-keys/v1"
-
-_MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _BLOCK = 64
 _MIN_FIRST_BLOCK = 8  # below this, a draw's fixed cost outweighs the rows it saves
 _CHUNKS_PER_WORKER = 16
 _TRUNCATION_LIMIT = 0.05
-# Refuse specs whose worst case (every trial reaching the horizon) exceeds
-# this many steps: at about 10^5 steps/s per core, 10^10 steps is over a
-# day of work, e.g. "mu": 1e-3, whose default horizon is ~1.2e8 steps.
-_MAX_WORST_CASE_STEPS = 10**10
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
-_ZERO_WORDS.flags.writeable = False
+_ZERO_WORDS = (0, 0, 0, 0)  # plain ints: the Philox state setter reads them faster than an array
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
@@ -129,83 +124,6 @@ def trial_generator(
         "uinteger": 0,
     }
     return rng
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything needed to bit-reproduce one experiment."""
-
-    params: ModelParams
-    rule: RuleSpec
-    alpha: float
-    beta: float
-    replications: int
-    master_seed: int
-    horizon_cap: int | None = None
-
-    def __post_init__(self) -> None:
-        self.rule.check(self.params)
-        calibrated_rule(self)  # surface calibration errors at construction
-        # the asymptote sets the default horizon and the report's ratio;
-        # an extreme mu over- or underflows mu**2 inside it
-        try:
-            asymptote = theoretical_asymptote(self)
-        except ArithmeticError:
-            asymptote = math.nan
-        if not 0.0 < asymptote < math.inf:
-            raise ValueError(
-                f"mu={self.params.mu} is out of range: the theoretical mean sample size "
-                "is not a finite positive number"
-            )
-        # not a field: equality, hashing and repr stay those of the seven fields
-        horizon = _run_horizon(self.master_seed, self.replications, self.horizon_cap, asymptote)
-        object.__setattr__(self, "_horizon", horizon)
-
-    def resolved_horizon_cap(self) -> int:
-        """``horizon_cap``, or the default horizon of ``_run_horizon``."""
-        return self._horizon
-
-
-def _run_horizon(
-    master_seed: int, replications: int, horizon_cap: int | None, asymptote: float
-) -> int:
-    """Check a run's seed and size and return its horizon.
-
-    The seed must be an unsigned 64-bit integer: the trial keys reduce it
-    mod 2^64, so a seed outside that range would repeat one inside it.
-    The horizon is ``horizon_cap``, or by default 50x the ``asymptote``
-    (the mean sample size as the error levels vanish), rounded up, at
-    least 1000.  A run whose worst case, every trial reaching the horizon,
-    exceeds ``_MAX_WORST_CASE_STEPS`` is refused before it starts.
-    """
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    if horizon_cap is not None and horizon_cap < 1:
-        raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap}")
-    horizon = horizon_cap if horizon_cap is not None else max(1000, math.ceil(50.0 * asymptote))
-    if replications * horizon > _MAX_WORST_CASE_STEPS:
-        raise ValueError(
-            f"worst case {replications} replications x {horizon} steps = "
-            f"{replications * horizon} steps exceeds the limit of {_MAX_WORST_CASE_STEPS} steps"
-        )
-    return horizon
-
-
-def calibrated_rule(spec: ExperimentSpec) -> GapRuleConfig | MaxGapRuleConfig | GIRuleConfig:
-    """Calibrate the spec's rule against its model and target levels."""
-    return spec.rule.calibrate(spec.params, spec.alpha, spec.beta)
-
-
-def theoretical_asymptote(spec: ExperimentSpec) -> float:
-    """Small-error mean sample size for the spec's rule.
-
-    gap:     (1-rho)/mu^2 * |log(min(alpha, beta))|
-    maxgap:  2*(1-rho)/mu^2 * |log(min(alpha, beta))|
-    gi:      |log(min(alpha, beta))| / (eta0 + eta1)   (independent baseline)
-    """
-    return spec.rule.asymptote(spec.params, abs(math.log(min(spec.alpha, spec.beta))))
 
 
 @dataclass(frozen=True)
@@ -399,33 +317,6 @@ class SweepPoint:
     value: float
     spec: ExperimentSpec
     summary: ExperimentSummary
-
-
-def sweep_specs(
-    spec_template: ExperimentSpec, kind: Literal["alpha", "rho"], grid: Sequence[float]
-) -> list[ExperimentSpec]:
-    """The template at each grid point: alpha (= beta), or the common correlation.
-
-    Building a spec validates it, so a bad point fails here, naming its
-    grid entry, before any point runs.
-    """
-    if len(grid) == 0:
-        raise ValueError(f"{kind}_grid must be nonempty")
-    if kind == "alpha":
-        if any(b >= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"alpha_grid must be strictly decreasing, got {list(grid)}")
-        point = lambda a: replace(spec_template, alpha=a, beta=a)
-    elif kind == "rho":
-        point = lambda rho: replace(spec_template, params=replace(spec_template.params, rho=rho))
-    else:
-        raise ValueError(f"sweep kind must be 'alpha' or 'rho', got {kind!r}")
-    specs = []
-    for value in grid:
-        try:
-            specs.append(point(value))
-        except ValueError as exc:
-            raise ValueError(f"{kind}_grid entry {value!r}: {exc}") from exc
-    return specs
 
 
 def sweep(

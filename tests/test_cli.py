@@ -509,8 +509,8 @@ def test_sweep_rejects_a_bad_grid_point_before_any_runs(tmp_path, monkeypatch, c
 
 
 def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "run_experiment_with_trials", _refuse_to_run)
-    monkeypatch.setattr(cli, "sweep", _refuse_to_run)
+    monkeypatch.setattr(montecarlo, "run_experiment_with_trials", _refuse_to_run)
+    monkeypatch.setattr(montecarlo, "sweep", _refuse_to_run)
     cfg = write_config(tmp_path, base_config(sweep={"alpha_grid": [1e-2]}))
     missing = tmp_path / "no-dir"
     report = tmp_path / "r.csv"
@@ -525,7 +525,7 @@ def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch):
 
 
 def test_outputs_resolving_to_one_file_are_refused(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_experiment_with_trials", _refuse_to_run)
+    monkeypatch.setattr(montecarlo, "run_experiment_with_trials", _refuse_to_run)
     cfg = write_config(tmp_path, base_config())
     report, link = tmp_path / "r.csv", tmp_path / "link.csv"
     report.write_text("earlier report\n")
@@ -544,7 +544,7 @@ def test_failed_run_leaves_no_outputs(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("worker failed")
 
-    monkeypatch.setattr(cli, "run_experiment_with_trials", fail)
+    monkeypatch.setattr(montecarlo, "run_experiment_with_trials", fail)
     cfg = write_config(tmp_path, base_config())
     report, dump = tmp_path / "r.csv", tmp_path / "t.csv"
     report.write_text("earlier report\n")
@@ -605,15 +605,64 @@ def test_python_m_seqgap_runs_the_cli(tmp_path, valid):
         assert package.returncode == 1 and package.stderr.startswith("error: ")
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    """``seqgap calibrate`` draws nothing, so it does not pay to load ``numpy.random``.
+# Modules that the spec layer and the commands that run no trials must not load.
+_ENGINE_ONLY = ("numpy", "numpy.random", "multiprocessing")
 
-    That is why the harness's ``Trial`` alias is a string.
-    """
+
+def _python(tmp_path, code, *argv):
+    """Run ``code`` in a fresh interpreter on this checkout; return (exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(Path(seqgap.__file__).resolve().parents[1]))
-    probe = "import sys, seqgap.cli; print('numpy' in sys.modules, 'numpy.random' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
-    assert (result.returncode, result.stdout, result.stderr) == (0, "True False\n", "")
+    result = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True,
+                            text=True, env=env, cwd=tmp_path, timeout=60)
+    return result.returncode, result.stdout, result.stderr
+
+
+def _loaded_after(tmp_path, statement, *argv):
+    code = f"import sys\n{statement}\nprint([m for m in {_ENGINE_ONLY!r} if m in sys.modules])"
+    return _python(tmp_path, code, *argv)
+
+
+def test_the_spec_layer_and_the_trial_free_commands_load_no_numpy(tmp_path):
+    """Parsing, calibrating and checking a config need only ``math``.
+
+    numpy, ``numpy.random`` and ``multiprocessing`` stay unloaded after
+    importing every module but the engine and after ``calibrate``,
+    ``sprt-asn`` and a bad config.  The package still resolves
+    ``run_experiment``, and importing the engine loads numpy.
+    """
+    spec_layer = "import seqgap, seqgap.cli, seqgap.config, seqgap.rules, seqgap.sprt, seqgap.model"
+    assert _loaded_after(tmp_path, spec_layer) == (0, "[]\n", "")
+    good = write_config(tmp_path, base_config())
+    bad = write_config(tmp_path, base_config(model={"K": 4, "rho": 0.5, "mu": 1.0, "signal_set": [1, 9]}),
+                       name="bad.json")
+    run = "from seqgap.cli import main\nprint('exit', main(sys.argv[1:]))"
+    code, out, err = _loaded_after(tmp_path, run, "calibrate", "--config", good)
+    assert (code, out.startswith("rule = gap\n"), out.endswith("\nexit 0\n[]\n"), err) == (0, True, True, "")
+    code, out, err = _loaded_after(tmp_path, run, "sprt-asn", "--theta0", 0, "--theta1", 1)
+    assert (code, out.startswith("asn_wald_h0 = "), out.endswith("\nexit 0\n[]\n"), err) == (0, True, True, "")
+    for command in ("calibrate", "simulate", "sweep"):
+        assert _loaded_after(tmp_path, run, command, "--config", bad) == (
+            0, "exit 1\n[]\n", "error: signal_set contains streams outside 1..4: [9]\n")
+    code, out, err = _loaded_after(tmp_path, "import seqgap\nprint(seqgap.run_experiment.__module__)")
+    assert (code, out.startswith("seqgap.montecarlo\n"), "'numpy'" in out, err) == (0, True, True, "")
+    code, out, err = _loaded_after(tmp_path, "import seqgap.montecarlo")
+    assert (code, "'numpy'" in out, err) == (0, True, "")
+
+
+def test_calibrate_at_ten_million_streams_stays_small(tmp_path):
+    """Checking a config costs O(|signal_set|), not O(K), in memory and time."""
+    cfg = write_config(tmp_path, base_config(model={"K": 10**7, "rho": 0.5, "mu": 1.0}))
+    code = (
+        "import resource, subprocess, sys\n"
+        "done = subprocess.run([sys.executable, '-m', 'seqgap', 'calibrate', '--config', sys.argv[1]],"
+        " capture_output=True, text=True)\n"
+        "print(done.returncode, done.stdout.splitlines()[0], done.stderr == '')\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    rc, out, err = _python(tmp_path, code, cfg)
+    status, peak_kb = out.splitlines()
+    assert (rc, status, err) == (0, "0 rule = gap True", "")
+    assert int(peak_kb) < 150 * 1024, f"calibrate at K=10^7 peaked at {int(peak_kb) / 1024:.0f} MB"
 
 
 @pytest.mark.parametrize("module", ["seqgap"] + [

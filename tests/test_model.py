@@ -160,18 +160,21 @@ def _rebuilt(how, want):
 
 @pytest.mark.parametrize("how", ["replaced", "pickled"])
 def test_block_means_follow_the_fields(how):
-    """The cached mean and scale rows follow the fields, and belong to one params each."""
+    """The mean and scale rows, built on first use, follow the fields and belong to one params each."""
     want = params(K=5, rho=0.3, signals=(2, 5))
+    sample_block(want, np.random.Generator(np.random.Philox(key=1)), 1)  # want has built its rows
     p = _rebuilt(how, want)
     other = params(K=5, rho=0.1, mu=0.5)  # built later: a cache shared across params would show
-    for q in (p, other):
-        assert q._scale_row.tolist() == [math.sqrt(1.0 - q.rho)] * 5 + [math.sqrt(q.rho)]
-        assert not q._scale_row.flags.writeable and not q._mean_row.flags.writeable
     for q, reference in ((p, want), (other, other)):
+        assert not hasattr(q, "_block_rows")  # rebuilt on first use, never carried over
         g1 = np.random.Generator(np.random.Philox(key=7))
         g2 = np.random.Generator(np.random.Philox(key=7))
         block = sample_block(q, g1, 6)
         assert block.tolist() == [list(sample_increment(reference, g2)) for _ in range(6)]
+        scale_row, mean_row = q._block_rows
+        assert scale_row.tolist() == [math.sqrt(1.0 - q.rho)] * 5 + [math.sqrt(q.rho)]
+        assert mean_row.tolist() == reference.mean_vector().tolist()
+        assert not scale_row.flags.writeable and not mean_row.flags.writeable
 
 
 @pytest.mark.parametrize("how", ["replaced", "pickled"])
