@@ -13,6 +13,11 @@ are ``_BLOCK`` rows.  A chunk returns int64 columns (T, V, W, R,
 truncated) in trial-index order, which are all the summary, the SPRT's
 error rate and the trial dump read.
 
+``workers=N`` runs on at most N processes, this one included: it runs
+chunks itself beside a pool of N - 1 workers, and both draw chunk starts
+from one dispenser.  Chunks are sized for N processes, and each chunk's
+columns land by trial index, so the results are those of a serial run.
+
 Truncated trials (no stop by the horizon cap) are scored as maximally
 wrong: their rejected set is the complement of the signal set, which
 drives every error indicator and proportion to 1 and keeps the confusion
@@ -26,8 +31,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from array import array
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence, TypeAlias
@@ -242,23 +248,67 @@ def _usable_cpus() -> int:
 
 
 def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
+    """All trials as columns, on at most ``workers`` processes, this one included.
+
+    The pool is topped up from its futures' done-callbacks so that each
+    worker has a chunk queued.  An error here or a failed pool chunk
+    empties the dispenser, so that only the chunks already in flight run on.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = spec.replications
-    if workers == 1 or n < 2 * _BLOCK:
-        return _run_chunk(spec, 0, n)
     # a pool starts all its processes at the first submit: start no more
     # than there are CPUs to run them on or chunks to give them
     workers = min(workers, _usable_cpus())
-    # many small chunks keep every worker busy until the last ones finish
+    # many small chunks keep every process busy until the last ones finish
     chunk = max(_BLOCK, math.ceil(n / (_CHUNKS_PER_WORKER * workers)))
     starts = range(0, n, chunk)
+    workers = min(workers, len(starts))
+    if workers == 1 or n < 2 * _BLOCK:
+        return _run_chunk(spec, 0, n)
+
+    pending = list(reversed(starts))  # popped from the end: lowest start first
+    lock = threading.Lock()  # a start is popped and its future listed in one step
+    submitted: list[tuple[int, Future[TrialColumns]]] = []
     columns = TrialColumns.zeros(n)
-    with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        futures = {s: pool.submit(_run_chunk, spec, s, min(s + chunk, n)) for s in starts}
-        for s, fut in futures.items():
-            for column, part in zip(columns, fut.result()):
-                column[s:s + len(part)] = part
+
+    def take() -> int | None:
+        with lock:
+            return pending.pop() if pending else None
+
+    def feed(pool: ProcessPoolExecutor) -> None:
+        with lock:
+            if not pending:
+                return
+            s = pending.pop()
+            future = pool.submit(_run_chunk, spec, s, min(s + chunk, n))
+            submitted.append((s, future))
+        # outside the lock: a future done already runs the callback at once
+        future.add_done_callback(lambda done: feed(pool) if done.exception() is None else stop())
+
+    def stop() -> None:
+        with lock:
+            pending.clear()
+
+    def place(s: int, part: TrialColumns) -> None:
+        for column, values in zip(columns, part):
+            column[s:s + len(values)] = values
+
+    trial = _rule_trial(spec, spec.resolved_horizon_cap())
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        # the pool's __exit__ waits for every submitted chunk: on an error,
+        # submit no more of them
+        try:
+            for _ in range(2 * (workers - 1)):  # one running and one queued per worker
+                feed(pool)
+            while (s := take()) is not None:
+                place(s, _run_trials(spec.master_seed, s, min(s + chunk, n), trial,
+                                     spec.params.signal_set, spec.params.K))
+            # every start is taken, so no more futures are listed
+            for s, future in submitted:
+                place(s, future.result())
+        finally:
+            stop()
     return columns
 
 

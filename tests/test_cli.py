@@ -475,6 +475,31 @@ def test_dead_worker_is_one_line_and_exit_3(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_a_worker_killed_mid_run_is_one_line_and_exit_3(tmp_path):
+    """A pool worker that dies after its first chunk: one ``error:`` line
+    on the real stderr, exit 3, no outputs.  A fresh interpreter, so that a
+    traceback from the pool's threads, which ``capsys`` misses, shows."""
+    cfg = write_config(tmp_path, base_config())
+    code = (
+        "import os, signal, sys\n"
+        "import seqgap.montecarlo as montecarlo\n"
+        "from seqgap.cli import main\n"
+        "run_chunk = montecarlo._run_chunk\n"
+        "def die_after_the_first(spec, start, stop):\n"
+        "    if start > 0:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return run_chunk(spec, start, stop)\n"
+        "montecarlo._run_chunk = die_after_the_first\n"
+        "montecarlo._usable_cpus = lambda: 2\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    rc, out, err = _python(tmp_path, code, "simulate", "--config", cfg, "--out", "r.csv",
+                           "--trial-dump", "t.csv", "--reps", 4000, "--workers", 2)
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: a worker process died: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def _refuse_to_run(*args, **kwargs):
     raise AssertionError("the run started although an output cannot be written")
 

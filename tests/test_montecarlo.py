@@ -1,6 +1,9 @@
 import math
+import sys
+import time
 from array import array
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -338,13 +341,13 @@ def test_parallel_equals_serial(kind):
         assert run_experiment_with_trials(spec, workers=workers) == serial
 
 
-@pytest.mark.parametrize("workers, cpus, pool_size", [
+@pytest.mark.parametrize("workers, cpus, processes", [
     (5000, 3, 3),  # capped by the CPUs
     (5000, 64, 4),  # capped by the chunks: 200 trials make 4 chunks of at most 64
     (2, 64, 2),
     (3, 1, 1),
 ])
-def test_pool_size_is_capped(monkeypatch, workers, cpus, pool_size):
+def test_pool_size_is_capped(monkeypatch, workers, cpus, processes):
     sizes = []
 
     class InlinePool:
@@ -368,7 +371,140 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, pool_size):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     spec = kind_spec("gap", reps=200)
     assert run_experiment_with_trials(spec, workers=workers) == run_experiment_with_trials(spec)
-    assert sizes == [pool_size]
+    # this process runs chunks too: the pool has one process fewer, and none is started for one
+    assert sizes == ([processes - 1] if processes > 1 else [])
+
+
+class LazyPool:
+    """A stand-in pool whose chunks run in this process, each only when its
+    result is asked for; leaving it runs every chunk still pending, as
+    ``ProcessPoolExecutor.__exit__`` waits for them."""
+
+    def __init__(self, max_workers):
+        self.submitted = []  # chunk starts, in submission order
+        self.futures = []
+        self.running = None  # the start of the chunk running for the pool
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for future in self.futures:  # a done-callback may append more
+            future.run()
+        return False
+
+    def submit(self, fn, spec, start, stop):
+        pool = self
+
+        class LazyFuture(Future):
+            def run(self):
+                if not self.done():
+                    pool.running = start
+                    try:
+                        self.set_result(fn(spec, start, stop))
+                    except Exception as exc:
+                        self.set_exception(exc)
+                    pool.running = None
+
+            def result(self, timeout=None):
+                self.run()
+                return super().result(timeout)
+
+        self.submitted.append(start)
+        self.futures.append(LazyFuture())
+        return self.futures[-1]
+
+
+class FailingPool(LazyPool):
+    """A stand-in pool whose every chunk has failed by the time it is submitted."""
+
+    def submit(self, fn, spec, start, stop):
+        self.submitted.append(start)
+        future = Future()
+        future.set_exception(RuntimeError(f"chunk {start} failed"))
+        return future
+
+
+def _install_pool(monkeypatch, pool_class, fail_here=False):
+    """Run chunks on a stand-in pool at up to 64 CPUs.  The record lists the
+    chunk starts run in all and those this process ran itself, outside the
+    pool; with ``fail_here`` those raise."""
+    record = SimpleNamespace(pool=None, run=[], here=[])
+    run_trials = montecarlo._run_trials
+
+    def recording(master_seed, start, stop, *rest):
+        record.run.append(start)
+        if record.pool.running != start:
+            record.here.append(start)
+            if fail_here:
+                raise RuntimeError(f"chunk {start} failed")
+        return run_trials(master_seed, start, stop, *rest)
+
+    def make_pool(max_workers):
+        record.pool = pool_class(max_workers)
+        return record.pool
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(montecarlo, "_run_trials", recording)
+    return record
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+def test_this_process_runs_chunks_beside_the_pool(monkeypatch, kind):
+    spec = kind_spec(kind, reps=700)  # 11 chunks of at most 64
+    serial = run_experiment_with_trials(spec)
+    record = _install_pool(monkeypatch, LazyPool)
+    assert run_experiment_with_trials(spec, workers=3) == serial
+    assert sorted(record.run) == list(range(0, 700, 64))  # every chunk exactly once
+    assert record.here  # this process ran chunks itself
+    assert sorted(record.pool.submitted + record.here) == sorted(record.run)
+
+
+def test_a_chunk_failing_here_propagates_and_submits_no_more(monkeypatch):
+    record = _install_pool(monkeypatch, LazyPool, fail_here=True)
+    # the pool's two workers get a running and a queued chunk each; this
+    # process takes the fifth chunk and fails
+    with pytest.raises(RuntimeError, match="chunk 256 failed"):
+        run_experiment_with_trials(kind_spec("gap", reps=700), workers=3)
+    # leaving the pool ran the submitted chunks, and their callbacks found no more
+    assert record.pool.submitted == [0, 64, 128, 192]
+    assert sorted(record.run) == [0, 64, 128, 192, 256]
+
+
+def test_a_failed_pool_chunk_stops_this_process(monkeypatch):
+    record = _install_pool(monkeypatch, FailingPool)
+    with pytest.raises(RuntimeError, match="chunk 0 failed"):
+        run_experiment_with_trials(kind_spec("gap", reps=700), workers=3)
+    # the first failure empties the dispenser: nothing more is handed out
+    assert record.pool.submitted == [0]
+    assert record.run == []
+
+
+def test_every_chunk_runs_once_under_threads(monkeypatch):
+    """Threads in place of pool processes, more of them than cores, and a
+    short switch interval: the dispenser hands out each chunk once."""
+    spec = kind_spec("gap", reps=2000)  # 32 chunks of at most 64
+    serial = run_experiment_with_trials(spec)
+
+    class SlowSubmitPool(ThreadPoolExecutor):
+        """Yields to the other threads between taking a chunk and listing its future."""
+
+        running = None  # the record does not tell the pool's chunks apart
+
+        def submit(self, *args):
+            time.sleep(0.02)
+            return super().submit(*args)
+
+    record = _install_pool(monkeypatch, SlowSubmitPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = run_experiment_with_trials(spec, workers=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+    assert sorted(record.run) == list(range(0, 2000, 64))
 
 
 def test_experiment_summary_contents():
