@@ -40,6 +40,7 @@ from .config import (
     load_config,
     resolved_config_dict,
     rule_dict,
+    spec_dict,
 )
 from .sprt import SprtConfig, asn_asymptotic, asn_wald
 
@@ -61,22 +62,9 @@ TRIAL_DUMP_SCHEMA = ["trial_index", "stopping_time", "V", "W", "R", "truncated"]
 
 def experiment_id(spec: ExperimentSpec) -> str:
     """Short content hash of everything that determines the trial stream."""
-    doc = {
-        "model": {
-            "K": spec.params.K,
-            "rho": spec.params.rho,
-            "mu": spec.params.mu,
-            "signal_set": sorted(spec.params.signal_set),
-        },
-        "rule": rule_dict(spec.rule),
-        "targets": {"alpha": spec.alpha, "beta": spec.beta},
-        "mc": {
-            "replications": spec.replications,
-            "master_seed": spec.master_seed,
-            "horizon_cap": spec.resolved_horizon_cap(),
-        },
-        "generator_id": GENERATOR_ID,
-    }
+    doc = spec_dict(spec)
+    doc["mc"]["horizon_cap"] = spec.resolved_horizon_cap()
+    doc["generator_id"] = GENERATOR_ID
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
     return digest[:12]
 

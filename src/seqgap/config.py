@@ -44,6 +44,7 @@ __all__ = [
     "parse_config_dict",
     "resolved_config_dict",
     "rule_dict",
+    "spec_dict",
     "sweep_specs",
     "theoretical_asymptote",
 ]
@@ -401,24 +402,28 @@ def rule_dict(rule: RuleSpec) -> dict:
     return {"kind": rule.kind, **asdict(rule)}
 
 
-def resolved_config_dict(parsed: ParsedConfig) -> dict:
-    """Canonical dict equivalent to the parsed config; parses back losslessly."""
-    spec = parsed.spec
-    model = {
-        "K": spec.params.K,
-        "rho": spec.params.rho,
-        "mu": spec.params.mu,
-        "signal_set": sorted(spec.params.signal_set),
-    }
+def spec_dict(spec: ExperimentSpec) -> dict:
+    """Canonical dict of a spec: model, rule, targets, then mc, whose
+    horizon_cap appears only when the spec sets one."""
     mc = {"replications": spec.replications, "master_seed": spec.master_seed}
     if spec.horizon_cap is not None:
         mc["horizon_cap"] = spec.horizon_cap
-    doc = {
-        "model": model,
+    return {
+        "model": {
+            "K": spec.params.K,
+            "rho": spec.params.rho,
+            "mu": spec.params.mu,
+            "signal_set": sorted(spec.params.signal_set),
+        },
         "rule": rule_dict(spec.rule),
         "targets": {"alpha": spec.alpha, "beta": spec.beta},
         "mc": mc,
     }
+
+
+def resolved_config_dict(parsed: ParsedConfig) -> dict:
+    """Canonical dict equivalent to the parsed config; parses back losslessly."""
+    doc = spec_dict(parsed.spec)
     output = {"format": parsed.out_format}
     if parsed.out_path is not None:
         output = {"path": parsed.out_path, "format": parsed.out_format}

@@ -4,7 +4,8 @@ Every trial owns a counter-based generator (numpy Philox) keyed by a
 SplitMix64 mix of (master_seed, trial_index), so results are independent
 of scheduling and worker count.  One loop runs every trial, for the rules
 and for the SPRT (a one-stream source: its signal set is empty under h0
-and {1} under h1, and rejecting the null rejects stream 1).  Per chunk of
+and {1} under h1, and ``run_sprt`` returns ``(stopping_time, rejected)``
+as a rule trial does, with {1} on a rejection of the null).  Per chunk of
 trials the loop rekeys one generator, resolves the horizon once and scores
 each distinct rejected set once.  Blocks of draws consume the random stream
 exactly as single steps would, so their sizes are free: a trial's first
@@ -52,7 +53,7 @@ from .config import (
 from .metrics import MetricEstimates, aggregate, binomial, confusion, sample_mean
 from .model import sample_block, update_stats
 from .rules import GapRuleSpec, GiRuleSpec, MaxGapRuleSpec, RuleSpec
-from .sprt import SprtConfig, SprtDecision, SprtTruncated, asn_asymptotic, run_sprt
+from .sprt import REJECT_H0, SprtConfig, asn_asymptotic, run_sprt
 
 __all__ = [
     "GENERATOR_ID",
@@ -438,9 +439,6 @@ class SprtMcResult:
     replications: int
 
 
-_STREAM_1 = frozenset({1})  # the SPRT's signal set under h1, and its rejected set on a rejection
-
-
 def _sprt_trial(config: SprtConfig, truth: Literal["h0", "h1"], horizon: int) -> Trial:
     mean = config.theta0 if truth == "h0" else config.theta1
     sd = math.sqrt(config.sigma2)
@@ -450,10 +448,7 @@ def _sprt_trial(config: SprtConfig, truth: Literal["h0", "h1"], horizon: int) ->
         # map, not a generator expression: a test that stops early would
         # abandon a second suspended generator, whose close costs about 0.3 us
         draws = map(draw, _block_sizes(horizon, first_block))
-        outcome = run_sprt(config, chain.from_iterable(draws), horizon)
-        if isinstance(outcome, SprtTruncated):
-            return outcome.stopping_time, None
-        return outcome.stopping_time, _STREAM_1 if outcome.decision is SprtDecision.REJECT_H0 else frozenset()
+        return run_sprt(config, chain.from_iterable(draws), horizon)
 
     return trial
 
@@ -478,7 +473,7 @@ def sprt_error_mc(
     if truth not in ("h0", "h1"):
         raise ValueError(f"truth must be 'h0' or 'h1', got {truth!r}")
     horizon = _run_horizon(master_seed, replications, horizon_cap, asn_asymptotic(config))
-    signal_set = frozenset() if truth == "h0" else _STREAM_1
+    signal_set = frozenset() if truth == "h0" else REJECT_H0
     trials = _run_trials(master_seed, 0, replications, _sprt_trial(config, truth, horizon), signal_set, 1)
     time = sample_mean(trials.T)
     error = binomial(np.logical_or(trials.V, trials.W))  # V + W > 0, without an int64 temporary

@@ -204,8 +204,6 @@ def calibrate_maxgap(
         raise ValueError(
             f"eligible gap indices l < i < u are empty for l={l}, u={u}; need u >= l + 2"
         )
-    if variant not in MAXGAP_VARIANTS:
-        raise ValueError(f"variant must be one of {MAXGAP_VARIANTS}, got {variant!r}")
     _check_levels(alpha, beta, c1_adjust)
     inner = max(
         abs(math.log((alpha / c1_adjust) / (2.0 * (K - l) * (K - l - 1)))),

@@ -9,6 +9,11 @@ never accept the null).  Decisions compare the drift-centered sum
 
 against the boundaries rescaled by sigma2/(theta1-theta0).
 
+``sprt_step`` returns the rejected set of one stream, as the rule steps
+do: ``REJECT_H0`` = {1} or ``ACCEPT_H0`` = {} on a decision, ``None`` to
+continue.  ``run_sprt`` returns the run's ``(stopping_time, rejected)``,
+with ``rejected`` None when the horizon or the source runs out.
+
 Also provides the classical average-sample-number (ASN) approximations and
 the small-error asymptotic ASN used as the optimality yardstick for the
 multi-stream rules.
@@ -16,16 +21,15 @@ multi-stream rules.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 __all__ = [
+    "ACCEPT_H0",
+    "REJECT_H0",
     "SprtConfig",
-    "SprtDecision",
-    "SprtOutcome",
-    "SprtTruncated",
+    "SprtResult",
     "asn_asymptotic",
     "asn_wald",
     "run_sprt",
@@ -33,10 +37,8 @@ __all__ = [
 ]
 
 
-class SprtDecision(enum.Enum):
-    CONTINUE = "continue"
-    ACCEPT_H0 = "accept_h0"
-    REJECT_H0 = "reject_h0"
+REJECT_H0: frozenset[int] = frozenset({1})  # the null is rejected: stream 1 carries the signal
+ACCEPT_H0: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,9 @@ class SprtConfig:
         return (self.theta1 - self.theta0) ** 2 / (2.0 * self.sigma2)
 
 
-def sprt_step(config: SprtConfig, n: int, cum_sum: float) -> SprtDecision:
-    """Decision after n observations with raw cumulative sum ``cum_sum``.
+def sprt_step(config: SprtConfig, n: int, cum_sum: float) -> frozenset[int] | None:
+    """Decision after n observations with raw cumulative sum ``cum_sum``:
+    ``REJECT_H0``, ``ACCEPT_H0``, or None to continue.
 
     Rejection takes precedence when both boundaries are crossed at once,
     which can only happen in degenerate configurations with a <= b.
@@ -117,42 +120,24 @@ def sprt_step(config: SprtConfig, n: int, cum_sum: float) -> SprtDecision:
         raise ValueError(f"n must be >= 1, got {n}")
     statistic = cum_sum - n * config.drift
     if statistic >= config._upper:
-        return SprtDecision.REJECT_H0
+        return REJECT_H0
     if statistic <= config._lower:
-        return SprtDecision.ACCEPT_H0
-    return SprtDecision.CONTINUE
+        return ACCEPT_H0
+    return None
 
 
-@dataclass(frozen=True)
-class SprtOutcome:
-    """Terminal decision and the time it was reached."""
-
-    decision: SprtDecision
-    stopping_time: int
-
-    def __post_init__(self) -> None:
-        if self.decision is SprtDecision.CONTINUE:
-            raise ValueError("terminal outcome cannot be CONTINUE")
-        if self.stopping_time < 1:
-            raise ValueError(f"stopping_time must be >= 1, got {self.stopping_time}")
-
-
-@dataclass(frozen=True)
-class SprtTruncated:
-    """No decision within the horizon; ``stopping_time`` observations consumed."""
+class SprtResult(NamedTuple):
+    """Observations consumed, and the decision's rejected set (None if truncated)."""
 
     stopping_time: int
+    rejected: frozenset[int] | None
 
 
-def run_sprt(
-    config: SprtConfig,
-    increments: Iterable[float],
-    horizon_cap: int,
-) -> SprtOutcome | SprtTruncated:
+def run_sprt(config: SprtConfig, increments: Iterable[float], horizon_cap: int) -> SprtResult:
     """Feed increments through the test until a decision or the horizon.
 
-    Returns :class:`SprtTruncated` if the horizon is reached or the source
-    is exhausted while the test still wants more data.
+    ``rejected`` is None if the horizon is reached or the source is
+    exhausted while the test still wants more data.
     """
     if horizon_cap < 1:
         raise ValueError(f"horizon_cap must be >= 1, got {horizon_cap}")
@@ -161,12 +146,12 @@ def run_sprt(
     for u in increments:
         n += 1
         cum_sum += u
-        decision = sprt_step(config, n, cum_sum)
-        if decision is not SprtDecision.CONTINUE:
-            return SprtOutcome(decision, n)
+        rejected = sprt_step(config, n, cum_sum)
+        if rejected is not None:
+            return SprtResult(n, rejected)
         if n >= horizon_cap:
-            return SprtTruncated(n)
-    return SprtTruncated(n)
+            break
+    return SprtResult(n, None)
 
 
 def asn_wald(config: SprtConfig, under: Literal["h0", "h1"]) -> float:

@@ -1,15 +1,17 @@
 import math
 import pickle
 from dataclasses import fields, replace
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from seqgap.montecarlo import sprt_error_mc
 from seqgap.sprt import (
+    ACCEPT_H0,
+    REJECT_H0,
     SprtConfig,
-    SprtDecision,
-    SprtOutcome,
-    SprtTruncated,
+    SprtResult,
     asn_asymptotic,
     asn_wald,
     run_sprt,
@@ -63,25 +65,32 @@ def test_one_sided_never_accepts():
     cfg = SprtConfig(0.0, 1.0, 1.0, gamma=0.001, delta=0.0)
     assert cfg.a == pytest.approx(6.907755278982137, rel=1e-12)  # log 1000
     assert cfg.b == -math.inf
-    assert sprt_step(cfg, 100, -1e9) is SprtDecision.CONTINUE
+    assert sprt_step(cfg, 100, -1e9) is None
+
+
+def assert_result(result, stopping_time, rejected):
+    """``result`` is a SprtResult with these fields; ``rejected`` is compared by identity."""
+    assert type(result) is SprtResult
+    assert result.stopping_time == stopping_time
+    assert result.rejected is rejected
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.0])
 def test_step_decides_at_exact_equality_with_each_threshold(delta):
     cfg = SprtConfig(-1.0, 1.0, 3.0, gamma=0.01, delta=delta)  # zero drift: the statistic is the sum
     upper = cfg.a * cfg.sum_scale
-    assert sprt_step(cfg, 5, upper) is SprtDecision.REJECT_H0
-    assert sprt_step(cfg, 5, math.nextafter(upper, 0.0)) is SprtDecision.CONTINUE
+    assert sprt_step(cfg, 5, upper) is REJECT_H0
+    assert sprt_step(cfg, 5, math.nextafter(upper, 0.0)) is None
     lower = cfg.b * cfg.sum_scale
     if delta == 0.0:
         assert lower == -math.inf
-        assert sprt_step(cfg, 5, -1e300) is SprtDecision.CONTINUE
+        assert sprt_step(cfg, 5, -1e300) is None
     else:
-        assert sprt_step(cfg, 5, lower) is SprtDecision.ACCEPT_H0
-        assert sprt_step(cfg, 5, math.nextafter(lower, 0.0)) is SprtDecision.CONTINUE
+        assert sprt_step(cfg, 5, lower) is ACCEPT_H0
+        assert sprt_step(cfg, 5, math.nextafter(lower, 0.0)) is None
     # run_sprt steps with the same thresholds
-    assert run_sprt(cfg, [upper], horizon_cap=5) == SprtOutcome(SprtDecision.REJECT_H0, 1)
-    assert run_sprt(cfg, [math.nextafter(upper, 0.0)], horizon_cap=5) == SprtTruncated(1)
+    assert_result(run_sprt(cfg, [upper], horizon_cap=5), 1, REJECT_H0)
+    assert_result(run_sprt(cfg, [math.nextafter(upper, 0.0)], horizon_cap=5), 1, None)
 
 
 def _rebuilt_config(how, want):
@@ -112,39 +121,87 @@ def test_sprt_boundaries_follow_the_fields(how):
 
 
 def test_step_decision_regions():
+    # a rejection rejects the one stream, an acceptance rejects none
+    assert REJECT_H0 == frozenset({1}) and ACCEPT_H0 == frozenset()
     cfg = SprtConfig(0.0, 1.0, 1.0, gamma=0.01, delta=0.01)
     n = 4
     centered_reject = cfg.a * cfg.sum_scale + n * cfg.drift
     centered_accept = cfg.b * cfg.sum_scale + n * cfg.drift
-    assert sprt_step(cfg, n, centered_reject) is SprtDecision.REJECT_H0
-    assert sprt_step(cfg, n, centered_accept) is SprtDecision.ACCEPT_H0
-    assert sprt_step(cfg, n, n * cfg.drift) is SprtDecision.CONTINUE
+    assert sprt_step(cfg, n, centered_reject) is REJECT_H0
+    assert sprt_step(cfg, n, centered_accept) is ACCEPT_H0
+    assert sprt_step(cfg, n, n * cfg.drift) is None
     with pytest.raises(ValueError, match="n must be >= 1"):
         sprt_step(cfg, 0, 0.0)
 
 
 def test_run_sprt_stops_at_first_crossing():
     cfg = SprtConfig(0.0, 1.0, 1.0, gamma=0.05, delta=0.05)
-    out = run_sprt(cfg, [10.0, 10.0], horizon_cap=10)
-    assert out == SprtOutcome(SprtDecision.REJECT_H0, 1)
-    out = run_sprt(cfg, [-10.0], horizon_cap=10)
-    assert out == SprtOutcome(SprtDecision.ACCEPT_H0, 1)
+    assert_result(run_sprt(cfg, [10.0, 10.0], horizon_cap=10), 1, REJECT_H0)
+    assert_result(run_sprt(cfg, [-10.0], horizon_cap=10), 1, ACCEPT_H0)
+    assert_result(run_sprt(cfg, [0.5, 0.5, -10.0, 10.0], horizon_cap=10), 3, ACCEPT_H0)
 
 
 def test_run_sprt_truncates():
     cfg = SprtConfig(0.0, 1.0, 1.0, gamma=0.05, delta=0.05)
     drift = [0.5] * 5  # statistic stays at 0 forever
-    assert run_sprt(cfg, drift, horizon_cap=3) == SprtTruncated(3)
-    assert run_sprt(cfg, drift, horizon_cap=50) == SprtTruncated(5)  # source exhausted
+    assert_result(run_sprt(cfg, drift, horizon_cap=3), 3, None)
+    assert_result(run_sprt(cfg, drift, horizon_cap=50), 5, None)  # source exhausted
+    assert_result(run_sprt(cfg, [], horizon_cap=50), 0, None)
     with pytest.raises(ValueError, match="horizon_cap"):
         run_sprt(cfg, drift, horizon_cap=0)
 
 
-def test_outcome_validation():
-    with pytest.raises(ValueError, match="CONTINUE"):
-        SprtOutcome(SprtDecision.CONTINUE, 3)
-    with pytest.raises(ValueError, match="stopping_time"):
-        SprtOutcome(SprtDecision.REJECT_H0, 0)
+PROPERTY_CONFIGS = [
+    SprtConfig(0.0, 1.0, 1.0, gamma=0.01, delta=0.01),
+    SprtConfig(0.5, 2.0, 1.7, gamma=0.05, delta=0.02),
+    SprtConfig(-1.0, 1.0, 3.0, gamma=0.01, delta=0.0),  # zero drift
+    SprtConfig(0.0, 1.0, 1.0, gamma=0.001, delta=0.0),
+]
+
+
+def reference_run(cfg, increments, horizon):
+    """The first n with S_n - n*drift >= upper (reject) or <= lower (accept), else a truncation."""
+    for n, s in enumerate(accumulate(increments), start=1):
+        if n > horizon:
+            break
+        if s - n * cfg.drift >= cfg._upper:
+            return n, REJECT_H0
+        if s - n * cfg.drift <= cfg._lower:
+            return n, ACCEPT_H0
+    return min(horizon, len(increments)), None
+
+
+@st.composite
+def sprt_paths(draw):
+    """A config, a horizon, and increments of which some land on a threshold.
+
+    A landing increment takes the statistic from the sum so far to the
+    threshold; when the steps before it are multiples of 1/32 it is exact
+    for most draws.
+    """
+    cfg = draw(st.sampled_from(PROPERTY_CONFIGS))
+    targets = [cfg._upper] if cfg.delta == 0.0 else [cfg._upper, cfg._lower]
+    parts = draw(st.lists(st.one_of(
+        st.integers(-96, 96).map(lambda i: i / 32),
+        st.floats(-5.0, 5.0),
+        st.tuples(st.sampled_from(targets)),  # a landing increment, resolved below
+    ), max_size=30))
+    increments, cum_sum = [], 0.0
+    for part in parts:
+        if isinstance(part, tuple):
+            part = part[0] + (len(increments) + 1) * cfg.drift - cum_sum
+        increments.append(part)
+        cum_sum += part
+    return cfg, increments, draw(st.integers(1, 40))
+
+
+@given(sprt_paths())
+@example((SprtConfig(-1.0, 1.0, 3.0, gamma=0.01, delta=0.01), [0.25, -0.25, 1.5 * math.log(0.99 / 0.01)], 5))
+@example((SprtConfig(-1.0, 1.0, 3.0, gamma=0.01, delta=0.01), [1.5 * math.log(0.01 / 0.99)], 5))
+def test_run_sprt_matches_the_closed_form_reference(path):
+    cfg, increments, horizon = path
+    n, rejected = reference_run(cfg, increments, horizon)
+    assert_result(run_sprt(cfg, iter(increments), horizon), n, rejected)
 
 
 def test_asn_wald_frozen_values():
