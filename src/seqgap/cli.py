@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import errno
 import hashlib
 import json
 import os
@@ -177,8 +176,6 @@ def _staged_outputs(*paths: str | None):
         for i, path in enumerate(paths):
             if path is None:
                 continue
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             if os.path.exists(path) and not os.path.isfile(path):
                 staged.append((None, path, open(path, "w", encoding="utf-8", newline="")))
                 continue

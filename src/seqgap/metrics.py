@@ -1,10 +1,11 @@
 """Per-trial confusion accounting and aggregation into error-rate estimates.
 
 Per trial: V true nulls rejected, W false nulls accepted, R total
-rejections; ``confusion`` counts them for one rejected set.  Aggregation
-reads V, W and R as columns, one entry per trial, and derives each trial's
-false-discovery and false-non-discovery proportions (guarded at 0
-denominators) and the 0/1 indicators behind the familywise rates:
+rejections; ``confusion`` returns them as the tuple ``(V, W, R)`` for one
+rejected set.  Aggregation reads V, W and R as columns, one entry per
+trial, and derives each trial's false-discovery and false-non-discovery
+proportions (guarded at 0 denominators) and the 0/1 indicators behind the
+familywise rates:
 
     FWER1 = P(V >= 1)            FWER2 = P(W >= 1)
     PICS  = P(selection != truth)
@@ -25,7 +26,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "ConfusionCounts",
     "Estimate",
     "MetricEstimates",
     "aggregate",
@@ -35,29 +35,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """V, W, R for one trial on K streams."""
+def confusion(rejected: Iterable[int], signal_set: Iterable[int], K: int) -> tuple[int, int, int]:
+    """``(V, W, R)``: false rejections, false acceptances and total rejections.
 
-    V: int
-    W: int
-    R: int
-    K: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.V <= self.R <= self.K:
-            raise ValueError(f"need 0 <= V <= R <= K, got V={self.V}, R={self.R}, K={self.K}")
-        # false acceptances live among the K - R accepted streams; this also
-        # caps the implied signal count R - V + W at K and keeps fnp <= 1
-        if not 0 <= self.W <= self.K - self.R:
-            raise ValueError(
-                f"W out of range 0..{self.K - self.R} "
-                f"(K={self.K} streams, R={self.R} rejected): {self.W}"
-            )
-
-
-def confusion(rejected: Iterable[int], signal_set: Iterable[int], K: int) -> ConfusionCounts:
-    """Count false rejections, false acceptances, and total rejections."""
+    Both sets lie in 1..K once the checks pass, so 0 <= V <= R <= K and
+    0 <= W <= K - R: false acceptances live among the K - R accepted streams.
+    """
     d = frozenset(int(i) for i in rejected)
     a = frozenset(int(i) for i in signal_set)
     streams = frozenset(range(1, K + 1))
@@ -65,7 +48,7 @@ def confusion(rejected: Iterable[int], signal_set: Iterable[int], K: int) -> Con
         raise ValueError(f"rejected set {sorted(d - streams)} outside 1..{K}")
     if not a <= streams:
         raise ValueError(f"signal set {sorted(a - streams)} outside 1..{K}")
-    return ConfusionCounts(V=len(d - a), W=len(a - d), R=len(d), K=K)
+    return len(d - a), len(a - d), len(d)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ trials the loop rekeys one generator, resolves the horizon once and scores
 each distinct rejected set once.  Blocks of draws consume the random stream
 exactly as single steps would, so their sizes are free: a trial's first
 block is sized from the chunk's mean stopping time so far, later blocks
-are ``_BLOCK`` rows.  A chunk returns int64 columns (T, V, W, R,
+are ``_BLOCK`` rows, fewer when K is so large that a block would hold
+over 2**16 draws.  A chunk returns int64 columns (T, V, W, R,
 truncated) in trial-index order, which are all the summary, the SPRT's
 error rate and the trial dump read.
 
@@ -19,10 +20,12 @@ chunks itself beside a pool of N - 1 workers, and both draw chunk starts
 from one dispenser.  Chunks are sized for N processes, and each chunk's
 columns land by trial index, so the results are those of a serial run.
 
-Truncated trials (no stop by the horizon cap) are scored as maximally
-wrong: their rejected set is the complement of the signal set, which
-drives every error indicator and proportion to 1 and keeps the confusion
-identities exact.  Over 5% truncations flag an experiment unreliable.
+A trial returns ``(stopping_time, rejected)``, with ``rejected`` None when
+the horizon cap cut it off; ``run_trial`` returns that pair as a
+``TrialResult``.  The loop scores a truncated trial as maximally wrong:
+its rejected set is the complement of the signal set, which drives every
+error indicator and proportion to 1 and keeps the confusion identities
+exact.  Over 5% truncations flag an experiment unreliable.
 
 ``ExperimentSpec`` and the names that check and calibrate it live in
 ``seqgap.config``, which loads no numpy; they are re-exported here.
@@ -133,17 +136,12 @@ def trial_generator(
     return rng
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Stopping time, 1-based rejected set, and the truncation flag."""
+class TrialResult(NamedTuple):
+    """Stopping time and 1-based rejected set; ``rejected`` is None when the
+    horizon cut the trial off."""
 
     stopping_time: int
-    rejected: frozenset[int]
-    truncated: bool
-
-    def __post_init__(self) -> None:
-        if self.stopping_time < 1:
-            raise ValueError(f"stopping_time must be >= 1, got {self.stopping_time}")
+    rejected: frozenset[int] | None
 
 
 class TrialColumns(NamedTuple):
@@ -167,29 +165,27 @@ class TrialColumns(NamedTuple):
 Trial: TypeAlias = "Callable[[np.random.Generator, int], tuple[int, frozenset[int] | None]]"
 
 
-def _all_wrong(signal_set: frozenset[int], K: int) -> frozenset[int]:
-    """The rejected set a truncated trial is scored with."""
-    return frozenset(range(1, K + 1)) - signal_set
-
-
-def _block_sizes(horizon: int, first_block: int) -> Iterator[int]:
-    """A trial's draw sizes: ``first_block``, then ``_BLOCK`` at a time, ``horizon`` rows in all."""
+def _block_sizes(horizon: int, first_block: int, most: int = _BLOCK) -> Iterator[int]:
+    """A trial's draw sizes: ``first_block``, then ``most`` at a time, ``horizon`` rows in all."""
     n, count = 0, first_block
     while n < horizon:
         count = min(count, horizon - n)
         yield count
         n += count
-        count = _BLOCK
+        count = most
 
 
 def _rule_trial(spec: ExperimentSpec, horizon: int) -> Trial:
     params = spec.params
     step, arg = spec.rule.stepper(calibrated_rule(spec), params)
     start = (0, (0.0,) * params.K)
+    # a block of K + 1 normals a row becomes Python floats at about 32 bytes
+    # each: cap a block at 2**16 of them, which binds only for K > 1023
+    most = max(1, min(_BLOCK, 2**16 // (params.K + 1)))
 
     def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
         stats = start
-        for count in _block_sizes(horizon, first_block):
+        for count in _block_sizes(horizon, min(first_block, most), most):
             for row in sample_block(params, rng, count).tolist():
                 stats = update_stats(stats, row)
                 rejected = step(stats, arg)
@@ -203,10 +199,7 @@ def _rule_trial(spec: ExperimentSpec, horizon: int) -> Trial:
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     """Simulate one trial; pure function of (spec, trial_index)."""
     rng = trial_generator(spec.master_seed, trial_index)
-    n, rejected = _rule_trial(spec, spec.resolved_horizon_cap())(rng, _BLOCK)
-    if rejected is None:
-        return TrialResult(n, _all_wrong(spec.params.signal_set, spec.params.K), True)
-    return TrialResult(n, rejected, False)
+    return TrialResult(*_rule_trial(spec, spec.resolved_horizon_cap())(rng, _BLOCK))
 
 
 def _run_trials(
@@ -215,7 +208,7 @@ def _run_trials(
     """The trial loop: trials ``start`` to ``stop - 1`` as columns."""
     columns = TrialColumns.zeros(stop - start)
     T, V, W, R, truncated = columns
-    wrong = _all_wrong(signal_set, K)
+    wrong = frozenset(range(1, K + 1)) - signal_set  # a truncated trial's scored set
     scored: dict[frozenset[int], tuple[int, int, int]] = {}
     rng, first_block, steps = None, _BLOCK, 0
     for j in range(stop - start):
@@ -226,8 +219,7 @@ def _run_trials(
             truncated[j] = 1
         counts = scored.get(rejected)
         if counts is None:  # V, W, R depend only on the rejected set
-            c = confusion(rejected, signal_set, K)
-            counts = scored[rejected] = (c.V, c.W, c.R)
+            counts = scored[rejected] = confusion(rejected, signal_set, K)
         T[j] = n
         V[j], W[j], R[j] = counts
         # twice the mean stopping time so far covers most trials in one draw
@@ -254,6 +246,16 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     The pool is topped up from its futures' done-callbacks so that each
     worker has a chunk queued.  An error here or a failed pool chunk
     empties the dispenser, so that only the chunks already in flight run on.
+
+    Two simpler designs were measured and dropped.  Taking a queued chunk
+    back with ``Future.cancel()`` breaks dead-worker handling: on CPython
+    3.11 a killed worker makes the pool call ``set_exception`` on cancelled
+    futures still pending, which raises ``InvalidStateError`` in its
+    manager thread.  Refilling the pool from this process between its own
+    chunks needs no lock, but then a worker's queue is refilled only when
+    this process ends a chunk: on the ``gi-k10-parallel`` config at two
+    workers on 2 CPUs it was slower in 6 of 8 pairs (median 1.18 s against
+    1.07 s).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -533,7 +533,7 @@ def test_sweep_rejects_a_bad_grid_point_before_any_runs(tmp_path, monkeypatch, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch):
+def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(montecarlo, "run_experiment_with_trials", _refuse_to_run)
     monkeypatch.setattr(montecarlo, "sweep", _refuse_to_run)
     cfg = write_config(tmp_path, base_config(sweep={"alpha_grid": [1e-2]}))
@@ -544,8 +544,10 @@ def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch):
     # a good report path with a bad trial dump path writes neither
     assert run_cli(["simulate", "--config", cfg, "--out", report,
                     "--trial-dump", missing / "t.csv"]) == 3
+    capsys.readouterr()
     assert run_cli(["simulate", "--config", cfg, "--out", report,
                     "--trial-dump", tmp_path]) == 3  # a directory
+    assert capsys.readouterr().err == f"I/O error: [Errno 21] Is a directory: '{tmp_path}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
@@ -688,6 +690,24 @@ def test_calibrate_at_ten_million_streams_stays_small(tmp_path):
     status, peak_kb = out.splitlines()
     assert (rc, status, err) == (0, "0 rule = gap True", "")
     assert int(peak_kb) < 150 * 1024, f"calibrate at K=10^7 peaked at {int(peak_kb) / 1024:.0f} MB"
+
+
+def test_simulate_at_two_hundred_thousand_streams_stays_small(tmp_path):
+    """A trial's blocks of draws are capped in size, not only in rows, so memory stays O(K)."""
+    cfg = write_config(tmp_path, base_config(model={"K": 2 * 10**5, "rho": 0.5, "mu": 1.0},
+                                             rule={"kind": "gap", "m": 1},
+                                             mc={"replications": 1, "master_seed": 2024}))
+    code = (
+        "import resource, subprocess, sys\n"
+        "done = subprocess.run([sys.executable, '-m', 'seqgap', 'simulate', '--config', sys.argv[1]],"
+        " capture_output=True, text=True)\n"
+        "print(done.returncode, len(done.stdout.splitlines()), done.stderr == '')\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    rc, out, err = _python(tmp_path, code, cfg)
+    status, peak_kb = out.splitlines()
+    assert (rc, status, err) == (0, "0 3 True", "")
+    assert int(peak_kb) < 150 * 1024, f"simulate at K=2*10^5 peaked at {int(peak_kb) / 1024:.0f} MB"
 
 
 @pytest.mark.parametrize("module", ["seqgap"] + [

@@ -348,40 +348,43 @@ def trial_lists(draw):
     trials = draw(st.lists(st.builds(
         TrialResult,
         stopping_time=st.integers(1, 10**4),
-        rejected=st.lists(st.integers(1, K), max_size=K).map(frozenset),
-        truncated=st.booleans(),
+        rejected=st.none() | st.lists(st.integers(1, K), max_size=K).map(frozenset),
     ), min_size=1, max_size=40))
     return spec, trials
 
 
+def _scored(spec, trial):
+    """A trial's (V, W, R); a truncated one is scored with the complement of the signal set."""
+    K, signal_set = spec.params.K, spec.params.signal_set
+    rejected = frozenset(range(1, K + 1)) - signal_set if trial.rejected is None else trial.rejected
+    return confusion(rejected, signal_set, K)
+
+
 def _columns(spec, trials):
     """Trial results as the harness's columns, scored one trial at a time."""
-    rows = []
-    for trial in trials:
-        counts = confusion(trial.rejected, spec.params.signal_set, spec.params.K)
-        rows.append((trial.stopping_time, counts.V, counts.W, counts.R, trial.truncated))
+    rows = [(t.stopping_time, *_scored(spec, t), t.rejected is None) for t in trials]
     return TrialColumns(*(array("q", column) for column in zip(*rows)))
 
 
 def _reference_metrics(spec, trials):
     """Per-trial proportions and indicators in Python floats, summed in order."""
     K = spec.params.K
-    counts = [confusion(t.rejected, spec.params.signal_set, K) for t in trials]
-    fdp = [c.V / max(c.R, 1) for c in counts]
-    fnp = [c.W / max(K - c.R, 1) for c in counts]
+    counts = [_scored(spec, t) for t in trials]
+    fdp = [v / max(r, 1) for v, _, r in counts]
+    fnp = [w / max(K - r, 1) for _, w, r in counts]
 
     def conditional(values, qualifies):
         kept = [x for x, q in zip(values, qualifies) if q]
         return Estimate(sum(kept) / len(kept), None) if kept else Estimate(None, None, False)
 
     return MetricEstimates(
-        fwer1=binomial([int(c.V >= 1) for c in counts]),
-        fwer2=binomial([int(c.W >= 1) for c in counts]),
-        pics=binomial([int(c.V + c.W > 0) for c in counts]),
+        fwer1=binomial([int(v >= 1) for v, _, _ in counts]),
+        fwer2=binomial([int(w >= 1) for _, w, _ in counts]),
+        pics=binomial([int(v + w > 0) for v, w, _ in counts]),
         fdr=sample_mean(fdp),
         fnr=sample_mean(fnp),
-        pfdr=conditional(fdp, [c.R >= 1 for c in counts]),
-        pfnr=conditional(fnp, [K - c.R >= 1 for c in counts]),
+        pfdr=conditional(fdp, [r >= 1 for _, _, r in counts]),
+        pfnr=conditional(fnp, [K - r >= 1 for _, _, r in counts]),
     )
 
 
@@ -395,7 +398,7 @@ def test_summarize_matches_per_trial_scoring(case):
     assert repr(summary.metrics) == repr(reference)
     time = sample_mean([t.stopping_time for t in trials])
     assert (summary.mean_T, summary.se_T) == (time.value, time.se)
-    assert summary.truncation_count == sum(t.truncated for t in trials)
+    assert summary.truncation_count == sum(t.rejected is None for t in trials)
     assert type(summary.truncation_count) is int
 
 
@@ -406,9 +409,8 @@ def test_trial_dump_matches_csv_writer(case):
     writer = csv.writer(reference, lineterminator="\n")
     writer.writerow(TRIAL_DUMP_SCHEMA)
     for index, trial in enumerate(trials):
-        counts = confusion(trial.rejected, spec.params.signal_set, spec.params.K)
-        writer.writerow([index, trial.stopping_time, counts.V, counts.W, counts.R,
-                         "true" if trial.truncated else "false"])
+        writer.writerow([index, trial.stopping_time, *_scored(spec, trial),
+                         "true" if trial.rejected is None else "false"])
     out = io.StringIO()
     write_trial_dump(out, _columns(spec, trials))
     assert out.getvalue() == reference.getvalue()
@@ -495,8 +497,10 @@ def test_trace_contract_counts(monkeypatch, kind):
     assert calls["llr_star"] == (spec.params.K * steps if kind == "gi" else 0)
     assert calls["ordered_sums"] == 0
     assert calls["trial_generator"] == spec.replications
-    # one chunk here: the loop scores each distinct rejected set once per chunk
-    assert calls["confusion"] == len({t.rejected for t in reference})
+    # one chunk here: the loop scores each distinct rejected set once per chunk,
+    # a truncated trial's as the complement of the signal set
+    wrong = frozenset(range(1, spec.params.K + 1)) - spec.params.signal_set
+    assert calls["confusion"] == len({wrong if t.rejected is None else t.rejected for t in reference})
     assert calls["run_sprt"] == calls["sprt_step"] == 0
 
 

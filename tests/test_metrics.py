@@ -3,16 +3,16 @@ from hypothesis import given, strategies as st
 from hypothesis.strategies import composite
 
 from seqgap.metrics import (
-    ConfusionCounts,
     Estimate,
     aggregate,
     confusion,
 )
 
 
-def one_trial(counts):
-    """Metric estimates of a single trial: its proportions and indicators."""
-    return aggregate([counts.V], [counts.W], [counts.R], counts.K)
+def one_trial(counts, K):
+    """Metric estimates of a single trial's (V, W, R) on K streams."""
+    v, w, r = counts
+    return aggregate([v], [w], [r], K)
 
 
 def columns(count_list):
@@ -22,14 +22,13 @@ def columns(count_list):
 
 
 def test_confusion_example():
-    counts = confusion(rejected={1, 2}, signal_set={1, 3}, K=4)
-    assert (counts.V, counts.W, counts.R) == (1, 1, 2)
+    assert confusion(rejected={1, 2}, signal_set={1, 3}, K=4) == (1, 1, 2)
 
 
 def test_confusion_perfect_selection():
     counts = confusion({2, 4}, {2, 4}, K=5)
-    assert (counts.V, counts.W, counts.R) == (0, 0, 2)
-    est = one_trial(counts)
+    assert counts == (0, 0, 2)
+    est = one_trial(counts, K=5)
     assert est.fdr.value == 0.0
     assert est.pics.value == 0.0
 
@@ -41,26 +40,34 @@ def test_confusion_rejects_out_of_range_streams():
         confusion({1}, {4}, K=3)
 
 
-def test_confusion_counts_invariants():
-    with pytest.raises(ValueError, match="V <= R"):
-        ConfusionCounts(V=2, W=0, R=1, K=4)
-    with pytest.raises(ValueError, match="W out of range"):
-        ConfusionCounts(V=0, W=5, R=0, K=4)
-    with pytest.raises(ValueError, match="W out of range"):
-        ConfusionCounts(V=0, W=1, R=4, K=4)  # no accepted stream left to miss
-    with pytest.raises(ValueError, match="W out of range"):
-        ConfusionCounts(V=1, W=2, R=1, K=2)  # rejecting a null leaves no room
+@composite
+def stream_subsets(draw):
+    """K and two subsets of 1..K: a rejected set and a signal set."""
+    k = draw(st.integers(1, 12))
+    subset = st.frozensets(st.integers(1, k), max_size=k)
+    return draw(subset), draw(subset), k
+
+
+@given(stream_subsets())
+def test_confusion_counts_invariants(case):
+    rejected, signal_set, k = case
+    counts = confusion(rejected, signal_set, k)
+    assert type(counts) is tuple and [type(c) for c in counts] == [int, int, int]
+    v, w, r = counts
+    assert 0 <= v <= r <= k
+    assert 0 <= w <= k - r  # misses lie among the K - R accepted streams
+    assert (v, w, r) == (len(rejected - signal_set), len(signal_set - rejected), len(rejected))
 
 
 def test_empty_rejection_contribs():
-    est = one_trial(confusion(set(), {1, 2}, K=4))
+    est = one_trial(confusion(set(), {1, 2}, K=4), K=4)
     assert est.fdr.value == 0.0  # guarded denominator
     assert est.fnr.value == 0.5
     assert not est.pfdr.defined  # no rejection: pFDR has no qualifying trial
 
 
 def test_full_rejection_contribs():
-    est = one_trial(confusion({1, 2, 3}, {1}, K=3))
+    est = one_trial(confusion({1, 2, 3}, {1}, K=3), K=3)
     assert est.fdr.value == pytest.approx(2 / 3)
     assert est.fnr.value == 0.0  # K - R = 0, guarded
     assert not est.pfnr.defined  # nothing accepted: pFNR has no qualifying trial
@@ -79,7 +86,7 @@ def valid_counts(draw, k=None):
 def test_sandwich_inequalities(vwrk):
     """Proportions are bracketed by the familywise indicators over K."""
     v, w, r, k = vwrk
-    est = one_trial(ConfusionCounts(V=v, W=w, R=r, K=k))
+    est = one_trial((v, w, r), k)
     assert est.fdr.value <= est.fwer1.value
     assert est.fnr.value <= est.fwer2.value
     assert est.fdr.value >= est.fwer1.value / k

@@ -16,6 +16,7 @@ from seqgap.montecarlo import (
     GiRuleSpec,
     MaxGapRuleSpec,
     TrialColumns,
+    TrialResult,
     derive_trial_seed,
     matched_sprt_config,
     run_experiment,
@@ -226,6 +227,7 @@ def test_block_sizes():
     assert list(montecarlo._block_sizes(150, 8)) == [8, 64, 64, 14]
     assert list(montecarlo._block_sizes(5, 8)) == [5]
     assert list(montecarlo._block_sizes(128, 64)) == [64, 64]
+    assert list(montecarlo._block_sizes(10, 1, 3)) == [1, 3, 3, 3]  # later blocks capped
 
 
 # ----------------------------------------------------------------- trials
@@ -241,7 +243,7 @@ def test_gap_trial_rejects_exactly_m():
     spec = gap_spec(reps=50)
     for i in range(50):
         trial = run_trial(spec, i)
-        assert not trial.truncated
+        assert trial.rejected is not None
         assert len(trial.rejected) == 2
         assert 1 <= trial.stopping_time <= spec.resolved_horizon_cap()
 
@@ -254,7 +256,7 @@ def test_maxgap_trial_rejection_counts_within_bounds():
     )
     for i in range(30):
         trial = run_trial(spec, i)
-        assert 1 < len(trial.rejected) < 3 or trial.truncated
+        assert trial.rejected is None or 1 < len(trial.rejected) < 3
 
 
 def test_gi_trial_runs_at_rho_zero():
@@ -265,7 +267,7 @@ def test_gi_trial_runs_at_rho_zero():
     )
     for i in range(30):
         trial = run_trial(spec, i)
-        assert trial.truncated or 1 <= len(trial.rejected) <= 3
+        assert trial.rejected is None or 1 <= len(trial.rejected) <= 3
 
 
 def _columns(outcomes, signal_set, K):
@@ -273,8 +275,8 @@ def _columns(outcomes, signal_set, K):
     wrong = frozenset(range(1, K + 1)) - signal_set
     rows = []
     for n, rejected in outcomes:
-        counts = confusion(wrong if rejected is None else rejected, signal_set, K)
-        rows.append((n, counts.V, counts.W, counts.R, rejected is None))
+        v, w, r = confusion(wrong if rejected is None else rejected, signal_set, K)
+        rows.append((n, v, w, r, rejected is None))
     return TrialColumns(*(array("q", column) for column in zip(*rows)))
 
 
@@ -311,18 +313,23 @@ def test_trial_result_does_not_depend_on_block_schedule(kind):
     if kind != "sprt":
         spec = kind_spec(kind, reps)
         reference = [run_trial(spec, i) for i in range(reps)]
-        assert [(t.stopping_time, t.rejected) for t in reference] == alone
+        assert reference == alone
+        assert all(type(t) is TrialResult for t in reference)
         assert montecarlo._run_chunk(spec, 0, reps) == _columns(alone, signal_set, K)
 
 
 def test_truncated_trial_scores_all_wrong():
     spec = gap_spec(horizon_cap=1, reps=20)
     trials = [run_trial(spec, i) for i in range(20)]
-    truncated = [t for t in trials if t.truncated]
+    truncated = [t for t in trials if t.rejected is None]
     assert truncated, "a 1-step horizon must truncate some trials"
     for t in truncated:
         assert t.stopping_time == 1
-        assert t.rejected == frozenset({3, 4})  # complement of the signal set
+    # scored with the complement of the signal set {1, 2}: {3, 4}
+    _, columns = run_experiment_with_trials(spec)
+    assert list(columns.truncated) == [int(t.rejected is None) for t in trials]
+    rows = [(v, w, r) for v, w, r, cut in zip(columns.V, columns.W, columns.R, columns.truncated) if cut]
+    assert rows == [(2, 2, 2)] * len(truncated)
 
 
 # ------------------------------------------------------------ experiments
