@@ -57,6 +57,9 @@ _MASK64 = (1 << 64) - 1
 # this many steps: at about 10^5 steps/s per core, 10^10 steps is over a
 # day of work, e.g. "mu": 1e-3, whose default horizon is ~1.2e8 steps.
 _MAX_WORST_CASE_STEPS = 10**10
+# A step draws K + 1 normals, so at large K the draws bound the run first:
+# at 1.2-2.5 x 10^6 normals/s per core, 10^11 normals is 11-23 hours.
+_MAX_WORST_CASE_DRAWS = 10**11
 
 # Error-metric name -> multiplicity budget C1.  Proportion- and family-wise
 # metrics are bounded by the selection-error budget itself (C1 = 1); the
@@ -109,7 +112,9 @@ class ExperimentSpec:
                 "is not a finite positive number"
             )
         # not a field: equality, hashing and repr stay those of the seven fields
-        horizon = _run_horizon(self.master_seed, self.replications, self.horizon_cap, asymptote)
+        horizon = _run_horizon(
+            self.master_seed, self.replications, self.horizon_cap, asymptote, self.params.K + 1
+        )
         object.__setattr__(self, "_horizon", horizon)
 
     def resolved_horizon_cap(self) -> int:
@@ -118,7 +123,11 @@ class ExperimentSpec:
 
 
 def _run_horizon(
-    master_seed: int, replications: int, horizon_cap: int | None, asymptote: float
+    master_seed: int,
+    replications: int,
+    horizon_cap: int | None,
+    asymptote: float,
+    draws_per_step: int,
 ) -> int:
     """Check a run's seed and size and return its horizon.
 
@@ -127,7 +136,8 @@ def _run_horizon(
     The horizon is ``horizon_cap``, or by default 50x the ``asymptote``
     (the mean sample size as the error levels vanish), rounded up, at
     least 1000.  A run whose worst case, every trial reaching the horizon,
-    exceeds ``_MAX_WORST_CASE_STEPS`` is refused before it starts.
+    exceeds ``_MAX_WORST_CASE_STEPS`` steps or ``_MAX_WORST_CASE_DRAWS``
+    normals (``draws_per_step`` per step) is refused before it starts.
     """
     if not 0 <= master_seed <= _MASK64:
         raise ValueError(f"master_seed must be an unsigned 64-bit integer, got {master_seed}")
@@ -140,6 +150,12 @@ def _run_horizon(
         raise ValueError(
             f"worst case {replications} replications x {horizon} steps = "
             f"{replications * horizon} steps exceeds the limit of {_MAX_WORST_CASE_STEPS} steps"
+        )
+    draws = replications * horizon * draws_per_step
+    if draws > _MAX_WORST_CASE_DRAWS:
+        raise ValueError(
+            f"worst case {replications} replications x {horizon} steps x {draws_per_step} normals "
+            f"= {draws} normals exceeds the limit of {_MAX_WORST_CASE_DRAWS} normals"
         )
     return horizon
 

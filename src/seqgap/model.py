@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add
 from typing import TYPE_CHECKING, Iterable, TypeAlias
 
 if TYPE_CHECKING:
@@ -31,11 +31,8 @@ if TYPE_CHECKING:
 __all__ = [
     "ModelParams",
     "SufficientStats",
-    "gap_statistic",
     "llr_star",
-    "ordered_sums",
     "sample_block",
-    "sample_increment",
     "update_stats",
 ]
 
@@ -85,29 +82,15 @@ class ModelParams:
 SufficientStats: TypeAlias = tuple[int, tuple[float, ...]]
 
 
-def sample_increment(params: ModelParams, rng: np.random.Generator) -> tuple[float, ...]:
-    """Draw one observation vector from the equicorrelated model.
-
-    Consumes exactly K + 1 standard normals from ``rng``: K idiosyncratic
-    terms first, then the shared factor, which is added to each.  This is
-    the reference that ``sample_block`` reproduces bit for bit, so block
-    and single-step sampling are interchangeable.
-    """
-    eps = rng.standard_normal(params.K + 1)
-    z = params.mean_vector() + math.sqrt(1.0 - params.rho) * eps[: params.K]
-    v = float(math.sqrt(params.rho) * eps[params.K])
-    return tuple(zi + v for zi in z.tolist())
-
-
 def sample_block(params: ModelParams, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` consecutive observation vectors as a (count, K) array.
 
-    Identical to ``count`` calls of :func:`sample_increment` on the same
-    generator state: the standard-normal stream is consumed row by row in
-    the same (K idiosyncratic, 1 shared) order.  The draws are scaled in
-    place by the cached ``(sqrt(1-rho),) * K + (sqrt(rho),)`` row; the
-    products are those of ``sample_increment`` and float addition commutes,
-    so every row is bit-identical.
+    Each row consumes K + 1 standard normals from ``rng``: K idiosyncratic
+    terms first, then the shared factor.  Row t is
+    ``(mean + sqrt(1-rho) * eps[t, :K]) + sqrt(rho) * eps[t, K]``, with the
+    draws scaled in place by the cached ``(sqrt(1-rho),) * K + (sqrt(rho),)``
+    row.  The normals are consumed row by row, so a block of ``count`` rows
+    equals the same rows drawn in smaller blocks.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -157,32 +140,6 @@ def update_stats(stats: SufficientStats, obs: Iterable[float]) -> SufficientStat
     if len(values) != len(sums):
         raise ValueError(f"observation length {len(values)} != K={len(sums)}")
     return n + 1, tuple(map(add, sums, values))
-
-
-_SUM = itemgetter(1)
-
-
-def ordered_sums(stats: SufficientStats) -> list[tuple[int, float]]:
-    """(stream, sum) pairs sorted by sum descending, ties by ascending stream.
-
-    This is the reference for the tie rule; the rule steps are not built
-    on it (they sort the bare sums).  The fixed tie rule makes decisions
-    reproducible under floating-point ties, which have probability zero in
-    the model but do occur in tests.  The pairs are built in stream order
-    and sorted once by sum; Python's sort is stable under ``reverse=True``,
-    so equal sums keep their ascending stream order.
-    """
-    _, sums = stats
-    return sorted(enumerate(sums, 1), key=_SUM, reverse=True)
-
-
-def gap_statistic(stats: SufficientStats, k: int) -> float:
-    """Gap between the k-th and (k+1)-th largest cumulative sums; always >= 0."""
-    _, sums = stats
-    if not 1 <= k < len(sums):
-        raise ValueError(f"gap index must be in 1..{len(sums) - 1}, got {k}")
-    ranked = ordered_sums(stats)
-    return ranked[k - 1][1] - ranked[k][1]
 
 
 def llr_star(stats: SufficientStats, i: int, params: ModelParams) -> float:

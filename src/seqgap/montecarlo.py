@@ -256,6 +256,13 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     this process ends a chunk: on the ``gi-k10-parallel`` config at two
     workers on 2 CPUs it was slower in 6 of 8 pairs (median 1.18 s against
     1.07 s).
+
+    This process runs its chunks through ``_run_trials``, not through
+    ``_run_chunk``, the pool's entry point.  Building the trial per chunk
+    would cost only about 7 us, but the dead-worker tests patch
+    ``_run_chunk`` to kill the process that runs it: this process would
+    kill itself, and leave a forked worker blocked forever on its
+    call-queue pipe.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -474,7 +481,7 @@ def sprt_error_mc(
     """
     if truth not in ("h0", "h1"):
         raise ValueError(f"truth must be 'h0' or 'h1', got {truth!r}")
-    horizon = _run_horizon(master_seed, replications, horizon_cap, asn_asymptotic(config))
+    horizon = _run_horizon(master_seed, replications, horizon_cap, asn_asymptotic(config), draws_per_step=1)
     signal_set = frozenset() if truth == "h0" else REJECT_H0
     trials = _run_trials(master_seed, 0, replications, _sprt_trial(config, truth, horizon), signal_set, 1)
     time = sample_mean(trials.T)

@@ -77,9 +77,6 @@ class GapRuleConfig:
     """Known-m gap rule with log-scale threshold c and sum-scale threshold G."""
 
     m: int
-    alpha: float
-    beta: float
-    c1_adjust: float
     c: float
     G: float
 
@@ -122,7 +119,7 @@ def calibrate_gap(
     _check_levels(alpha, beta, c1_adjust)
     c = abs(math.log(min(alpha / c1_adjust, beta / c1_adjust))) + math.log(m * (K - m))
     G = (1.0 - rho) / mu * c
-    return GapRuleConfig(m=m, alpha=alpha, beta=beta, c1_adjust=c1_adjust, c=c, G=G)
+    return GapRuleConfig(m=m, c=c, G=G)
 
 
 def _top_streams(sums: tuple[float, ...], cut: float) -> frozenset[int]:
@@ -131,7 +128,7 @@ def _top_streams(sums: tuple[float, ...], cut: float) -> frozenset[int]:
     Called on a stop, where ``cut`` is the smallest of the top group and a
     strictly positive gap separates it from the rest: no tie, and no 0.0
     beside a -0.0, can straddle that gap, so these are exactly the top
-    streams of the tie rule in ``ordered_sums``.
+    streams of the tie rule (sum descending, ties by ascending stream).
     """
     return frozenset(i for i, s in enumerate(sums, 1) if s >= cut)
 
@@ -161,23 +158,14 @@ class MaxGapRuleConfig:
 
     l: int
     u: int
-    alpha: float
-    beta: float
-    c1_adjust: float
-    variant: str
     base: float
     slope: float
 
     def __post_init__(self) -> None:
-        if self.variant not in MAXGAP_VARIANTS:
-            raise ValueError(f"variant must be one of {MAXGAP_VARIANTS}, got {self.variant!r}")
         if self.base <= 0.0:
             raise ValueError(f"base must be > 0, got {self.base}")
         if self.slope < 0.0:  # e(n) > 0 at every n, so every stop has a positive gap
             raise ValueError(f"slope must be >= 0, got {self.slope}")
-
-    def threshold_at(self, n: int) -> float:
-        return self.base + self.slope * n
 
 
 def calibrate_maxgap(
@@ -198,6 +186,8 @@ def calibrate_maxgap(
     unscaled:  e(n) = (1-rho)/mu * inner + n*mu/2
     sqrt2:     e(n) = sqrt(2) * [(1-rho)/mu * inner + n*mu/2]
     """
+    if variant not in MAXGAP_VARIANTS:
+        raise ValueError(f"variant must be one of {MAXGAP_VARIANTS}, got {variant!r}")
     if not 1 <= l < u <= K - 1:
         raise ValueError(f"need 1 <= l < u <= {K - 1}, got l={l}, u={u}")
     if u < l + 2:
@@ -214,10 +204,7 @@ def calibrate_maxgap(
     if variant == VARIANT_SQRT2:
         base *= math.sqrt(2.0)
         slope *= math.sqrt(2.0)
-    return MaxGapRuleConfig(
-        l=l, u=u, alpha=alpha, beta=beta, c1_adjust=c1_adjust,
-        variant=variant, base=base, slope=slope,
-    )
+    return MaxGapRuleConfig(l=l, u=u, base=base, slope=slope)
 
 
 def maxgap_rule_step(stats: SufficientStats, cfg: MaxGapRuleConfig) -> frozenset[int] | None:

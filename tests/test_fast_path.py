@@ -1,9 +1,10 @@
 """The one-sort stepping and the sums update against scalar references.
 
-The references are the earlier implementations: a tuple-keyed sort for the
-ordering, one ``gap_statistic`` call (a full sort) per gap index and the
-tie rule of ``ordered_sums`` for the gap and max-gap rules, and an
-elementwise sum for ``update_stats``.  The sums are drawn with forced ties
+The references are the earlier implementations: one ``gap_statistic`` call
+(a full sort) per gap index and the tie rule of ``reference_order`` (both
+in ``tests/reference.py``) for the gap and max-gap rules, a tuple-keyed
+sort for the gap-intersection rule, and an elementwise sum for
+``update_stats``.  The sums are drawn with forced ties
 (repeated values, 0.0 next to -0.0, all-equal rows, equal gaps), where a
 tie rule would show.
 """
@@ -22,14 +23,10 @@ import seqgap.model as model
 import seqgap.montecarlo as montecarlo
 import seqgap.rules as rules
 import seqgap.sprt as sprt
+from reference import gap_statistic, reference_order, threshold_at
 from seqgap.cli import TRIAL_DUMP_SCHEMA, write_trial_dump
 from seqgap.metrics import Estimate, MetricEstimates, binomial, confusion
-from seqgap.model import (
-    ModelParams,
-    gap_statistic,
-    ordered_sums,
-    update_stats,
-)
+from seqgap.model import ModelParams, update_stats
 from seqgap.montecarlo import (
     ExperimentSpec,
     GapRuleSpec,
@@ -47,7 +44,6 @@ from seqgap.rules import (
     GapRuleConfig,
     GIRuleConfig,
     MaxGapRuleConfig,
-    VARIANT_SQRT2,
     gap_rule_step,
     gi_rule_step,
     maxgap_rule_step,
@@ -64,11 +60,6 @@ sums_lists = tied | whole | st.lists(finite, min_size=2, max_size=10)
 positive = st.floats(1e-6, 2e3, allow_nan=False, allow_infinity=False)
 
 
-def reference_order(values):
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
-    return [(i + 1, values[i]) for i in order]
-
-
 def reference_gap_step(stats, cfg):
     _, sums = stats
     if gap_statistic(stats, cfg.m) >= cfg.G:
@@ -83,7 +74,7 @@ def reference_maxgap_step(stats, cfg):
         g = gap_statistic(stats, i)
         if g > best_gap:
             best_i, best_gap = i, g
-    if best_gap >= cfg.threshold_at(n):
+    if best_gap >= threshold_at(cfg, n):
         return frozenset(i for i, _ in reference_order(sums)[:best_i])
     return None
 
@@ -115,15 +106,8 @@ def threshold(values, draw):
     return draw(st.sampled_from(gaps) | positive if gaps else positive)
 
 
-@given(sums_lists)
-@example([0.0, -0.0, 0.0, -0.0])
-@example([2.5] * 6)
-def test_ordered_sums_matches_tuple_key_reference(values):
-    assert ordered_sums((3, tuple(values))) == reference_order(values)
-
-
 def _gap_cfg(m, G):
-    return GapRuleConfig(m=m, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=G)
+    return GapRuleConfig(m=m, c=1.0, G=G)
 
 
 @st.composite
@@ -150,9 +134,7 @@ def test_gap_step_matches_per_index_reference(case):
 
 
 def _maxgap_cfg(l, u, base, slope):
-    return MaxGapRuleConfig(
-        l=l, u=u, alpha=0.01, beta=0.01, c1_adjust=1.0, variant=VARIANT_SQRT2, base=base, slope=slope,
-    )
+    return MaxGapRuleConfig(l=l, u=u, base=base, slope=slope)
 
 
 @st.composite
@@ -244,33 +226,25 @@ def test_update_stats_matches_elementwise_sums(values, n, kind, data):
 @pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("rule", ["gap", "maxgap"])
 def test_one_ordering_per_step(monkeypatch, rule, stop):
-    """One bare sort per step, stop or not, and no ``ordered_sums`` call."""
-    sorts, orderings = [], []
+    """One bare sort per step, stop or not."""
+    sorts = []
 
     def counting_sorted(*args, **kwargs):
         sorts.append(args)
         return sorted(*args, **kwargs)
 
-    def counting_ordered_sums(stats):
-        orderings.append(stats)
-        return ordered_sums(stats)
-
     # a module global shadows the builtin
     monkeypatch.setattr(rules, "sorted", counting_sorted, raising=False)
-    monkeypatch.setattr(model, "ordered_sums", counting_ordered_sums)
     stats = 1, (5.0, 4.0, 1.0, 0.0, -1.0)  # gaps 1, 3, 1, 1
     level = 2.0 if stop else 10.0
     if rule == "gap":
-        cfg = GapRuleConfig(m=2, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=level)
+        cfg = GapRuleConfig(m=2, c=1.0, G=level)
         rejected = gap_rule_step(stats, cfg)
     else:
-        cfg = MaxGapRuleConfig(
-            l=1, u=4, alpha=0.01, beta=0.01, c1_adjust=1.0, variant=VARIANT_SQRT2, base=level, slope=0.0,
-        )
+        cfg = MaxGapRuleConfig(l=1, u=4, base=level, slope=0.0)
         rejected = maxgap_rule_step(stats, cfg)
     assert rejected == (frozenset({1, 2}) if stop else None)
     assert len(sorts) == 1
-    assert orderings == []
 
 
 @pytest.mark.parametrize("obs", [[1.0, 2.0, 3.0, 4.0], (1.0, 2.0), iter([1, 2, 3, 4])])
@@ -282,10 +256,8 @@ def test_update_stats_still_checks_length(obs):
 def test_steps_keep_the_gap_index_checks():
     stats = 1, (3.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="gap index"):
-        gap_rule_step(stats, GapRuleConfig(m=3, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=1.0))
-    cfg = MaxGapRuleConfig(
-        l=1, u=4, alpha=0.01, beta=0.01, c1_adjust=1.0, variant=VARIANT_SQRT2, base=1.0, slope=0.0,
-    )
+        gap_rule_step(stats, GapRuleConfig(m=3, c=1.0, G=1.0))
+    cfg = MaxGapRuleConfig(l=1, u=4, base=1.0, slope=0.0)
     with pytest.raises(ValueError, match="gap indices"):
         maxgap_rule_step(stats, cfg)
 
@@ -314,13 +286,9 @@ def test_permuting_streams_permutes_gap_and_maxgap_rejections(values, data):
     moved, rename = _permuted(values, perm)
     n = data.draw(st.integers(1, 50))
     level = threshold(values, data.draw)
-    gap_cfg = GapRuleConfig(m=data.draw(st.integers(1, K - 1)), alpha=0.01, beta=0.01,
-                            c1_adjust=1.0, c=1.0, G=level)
+    gap_cfg = GapRuleConfig(m=data.draw(st.integers(1, K - 1)), c=1.0, G=level)
     l = data.draw(st.integers(0, K - 2))
-    maxgap_cfg = MaxGapRuleConfig(
-        l=l, u=data.draw(st.integers(l + 2, K)), alpha=0.01, beta=0.01, c1_adjust=1.0,
-        variant=VARIANT_SQRT2, base=level, slope=0.0,
-    )
+    maxgap_cfg = MaxGapRuleConfig(l=l, u=data.draw(st.integers(l + 2, K)), base=level, slope=0.0)
     stats, moved_stats = (n, tuple(values)), (n, tuple(moved))
     _same_up_to(rename, gap_rule_step(stats, gap_cfg), gap_rule_step(moved_stats, gap_cfg))
     _same_up_to(rename, maxgap_rule_step(stats, maxgap_cfg), maxgap_rule_step(moved_stats, maxgap_cfg))
@@ -422,7 +390,7 @@ def test_trial_dump_matches_csv_writer(case):
 # module-level reference to them, then requires these counts exactly.
 COUNTED = {
     "gap_rule_step": rules, "maxgap_rule_step": rules, "gi_rule_step": rules,
-    "update_stats": model, "llr_star": model, "ordered_sums": model,
+    "update_stats": model, "llr_star": model,
     "trial_generator": montecarlo, "confusion": metrics,
     "run_sprt": sprt, "sprt_step": sprt,
 }
@@ -495,7 +463,6 @@ def test_trace_contract_counts(monkeypatch, kind):
     assert calls[f"{kind}_rule_step"] == steps
     assert calls["update_stats"] == steps
     assert calls["llr_star"] == (spec.params.K * steps if kind == "gi" else 0)
-    assert calls["ordered_sums"] == 0
     assert calls["trial_generator"] == spec.replications
     # one chunk here: the loop scores each distinct rejected set once per chunk,
     # a truncated trial's as the complement of the signal set
@@ -515,13 +482,12 @@ def test_adding_c_n_to_every_sum_keeps_gap_and_maxgap_decisions(values, c, n, da
     stats = n, tuple(float(v) for v in values)
     shifted = n, tuple(float(v + c * n) for v in values)
     level = threshold(list(stats[1]), data.draw)
-    gap_cfg = GapRuleConfig(m=data.draw(st.integers(1, K - 1)), alpha=0.01, beta=0.01,
-                            c1_adjust=1.0, c=1.0, G=level)
+    gap_cfg = GapRuleConfig(m=data.draw(st.integers(1, K - 1)), c=1.0, G=level)
     assert gap_rule_step(shifted, gap_cfg) == gap_rule_step(stats, gap_cfg)
     if K >= 3:
         l = data.draw(st.integers(1, K - 2))
         maxgap_cfg = MaxGapRuleConfig(
-            l=l, u=data.draw(st.integers(l + 1, K - 1)), alpha=0.01, beta=0.01, c1_adjust=1.0,
-            variant=VARIANT_SQRT2, base=level, slope=data.draw(st.sampled_from([0.0, 0.5])),
+            l=l, u=data.draw(st.integers(l + 1, K - 1)), base=level,
+            slope=data.draw(st.sampled_from([0.0, 0.5])),
         )
         assert maxgap_rule_step(shifted, maxgap_cfg) == maxgap_rule_step(stats, maxgap_cfg)

@@ -2,12 +2,15 @@ import math
 
 import pytest
 
+from reference import threshold_at
+from seqgap.config import ExperimentSpec
 from seqgap.model import ModelParams
 from seqgap.rules import (
     GapRuleConfig,
     GIRuleConfig,
     GiRuleSpec,
     MaxGapRuleConfig,
+    MaxGapRuleSpec,
     VARIANT_SQRT2,
     VARIANT_UNSCALED,
     calibrate_gap,
@@ -86,7 +89,7 @@ def test_calibrate_gap_rejects(kwargs, fragment):
 
 
 def test_gap_step_threshold_comparison():
-    cfg_g3 = GapRuleConfig(m=1, alpha=0.5, beta=0.5, c1_adjust=1.0, c=3.0, G=3.0)
+    cfg_g3 = GapRuleConfig(m=1, c=3.0, G=3.0)
     assert gap_rule_step(stats(5.0, 1.9, 1.0), cfg_g3) == frozenset({1})
     assert gap_rule_step(stats(5.0, 2.1, 1.0), cfg_g3) is None
     with pytest.raises(ValueError, match="n >= 1"):
@@ -94,7 +97,7 @@ def test_gap_step_threshold_comparison():
 
 
 def test_gap_step_ties():
-    small = GapRuleConfig(m=2, alpha=0.01, beta=0.01, c1_adjust=1.0, c=1.0, G=1.0)
+    small = GapRuleConfig(m=2, c=1.0, G=1.0)
     # tie inside the rejected block: both tied streams go in
     assert gap_rule_step(stats(5.0, 5.0, 1.0, 0.0), small) == frozenset({1, 2})
     # tie across the m-th boundary zeroes the gap, so no stop is possible
@@ -116,24 +119,24 @@ def test_calibrate_maxgap_frozen_values():
     unscaled = calibrate_maxgap(1, 3, 5, 0.01, 0.01, 0.5, 1.0, variant=VARIANT_UNSCALED)
     assert unscaled.base == pytest.approx(3.891612, abs=1e-6)
     assert unscaled.slope == 0.5
-    assert unscaled.threshold_at(10) == pytest.approx(8.891612, abs=1e-6)
+    assert threshold_at(unscaled, 10) == pytest.approx(8.891612, abs=1e-6)
     scaled = calibrate_maxgap(1, 3, 5, 0.01, 0.01, 0.5, 1.0, variant=VARIANT_SQRT2)
-    assert scaled.threshold_at(10) == pytest.approx(12.574638293310684, rel=1e-12)
+    assert threshold_at(scaled, 10) == pytest.approx(12.574638293310684, rel=1e-12)
 
 
 def test_sqrt2_variant_is_sqrt2_times_unscaled():
     for n in (1, 7, 100):
         unscaled = calibrate_maxgap(2, 4, 6, 0.02, 0.05, 0.3, 1.5, variant=VARIANT_UNSCALED)
         scaled = calibrate_maxgap(2, 4, 6, 0.02, 0.05, 0.3, 1.5, variant=VARIANT_SQRT2)
-        assert scaled.threshold_at(n) == pytest.approx(
-            math.sqrt(2.0) * unscaled.threshold_at(n), rel=1e-12
+        assert threshold_at(scaled, n) == pytest.approx(
+            math.sqrt(2.0) * threshold_at(unscaled, n), rel=1e-12
         )
 
 
 def test_maxgap_threshold_increasing_in_n():
     cfg = calibrate_maxgap(1, 3, 5, 0.01, 0.01, 0.5, 1.0)
-    assert cfg.threshold_at(1) < cfg.threshold_at(2) < cfg.threshold_at(10)
-    assert cfg.threshold_at(2) - cfg.threshold_at(1) == pytest.approx(cfg.slope, rel=1e-12)
+    assert threshold_at(cfg, 1) < threshold_at(cfg, 2) < threshold_at(cfg, 10)
+    assert threshold_at(cfg, 2) - threshold_at(cfg, 1) == pytest.approx(cfg.slope, rel=1e-12)
 
 
 def test_maxgap_degenerate_max_when_terms_coincide():
@@ -157,11 +160,20 @@ def test_calibrate_maxgap_rejects_bad_bounds(l, u, K, fragment):
         calibrate_maxgap(l, u, K, 0.01, 0.01, 0.0, 1.0)
 
 
+def test_calibrate_maxgap_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match=r"^variant must be one of \('sqrt2', 'unscaled'\), got 'bogus'$"):
+        calibrate_maxgap(1, 3, 5, 0.01, 0.01, 0.0, 1.0, variant="bogus")
+    # a spec calibrates its rule when it is built
+    with pytest.raises(ValueError, match="got 'bogus'"):
+        ExperimentSpec(
+            params=ModelParams(K=5, rho=0.5, mu=1.0, signal_set=frozenset({1, 2})),
+            rule=MaxGapRuleSpec(l=1, u=3, variant="bogus"),
+            alpha=0.01, beta=0.01, replications=10, master_seed=0,
+        )
+
+
 def _maxgap_cfg(l, u, base, slope=0.0):
-    return MaxGapRuleConfig(
-        l=l, u=u, alpha=0.01, beta=0.01, c1_adjust=1.0,
-        variant=VARIANT_UNSCALED, base=base, slope=slope,
-    )
+    return MaxGapRuleConfig(l=l, u=u, base=base, slope=slope)
 
 
 @pytest.mark.parametrize("base, slope, fragment", [(0.0, 0.5, "base must be > 0"), (1.0, -0.5, "slope must be >= 0")])
