@@ -148,10 +148,17 @@ def write_report_json(out: TextIO, rows: Sequence[dict], config_doc: dict, maste
 
 
 def write_trial_dump(out: TextIO, trials: TrialColumns) -> None:
-    """One CSV line per trial, in ``csv.writer``'s format (no cell needs quoting)."""
-    lines = [",".join(TRIAL_DUMP_SCHEMA) + "\n"]
-    lines += [f"{i},{t},{v},{w},{r},{_cell(x == 1)}\n" for i, (t, v, w, r, x) in enumerate(zip(*trials))]
-    out.write("".join(lines))
+    """One CSV line per trial, in ``csv.writer``'s format (no cell needs quoting).
+
+    The lines are built and written one slice of trials at a time, one
+    joined string per slice, so a dump's memory does not grow with the
+    number of trials.
+    """
+    from .metrics import _slices  # the slice size is the aggregation's
+
+    out.write(",".join(TRIAL_DUMP_SCHEMA) + "\n")
+    for part in _slices(range(len(trials.T)), *trials):
+        out.write("".join(f"{i},{t},{v},{w},{r},{_cell(x == 1)}\n" for i, t, v, w, r, x in zip(*part)))
 
 
 @contextlib.contextmanager

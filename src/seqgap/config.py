@@ -305,7 +305,12 @@ def _parse_signal_set(model: dict, rule: RuleSpec) -> frozenset[int]:
         raw = model["signal_set"]
         if not isinstance(raw, list):
             raise ConfigError(f"model.signal_set must be a list of stream indices, got {raw!r}")
-        return frozenset(_as_int(v, "model.signal_set entry") for v in raw)
+        seen: set[int] = set()
+        for index in (_as_int(v, "model.signal_set entry") for v in raw):
+            if index in seen:  # a typo, not a smaller signal set
+                raise ConfigError(f"model.signal_set repeats stream index {index}")
+            seen.add(index)
+        return frozenset(seen)
     default = rule.default_signal_set()
     if default is None:
         raise ConfigError(f"model.signal_set is required for rule kind {rule.kind!r}")

@@ -485,7 +485,8 @@ def sprt_error_mc(
     signal_set = frozenset() if truth == "h0" else REJECT_H0
     trials = _run_trials(master_seed, 0, replications, _sprt_trial(config, truth, horizon), signal_set, 1)
     time = sample_mean(trials.T)
-    error = binomial(np.logical_or(trials.V, trials.W))  # V + W > 0, without an int64 temporary
+    errors = int(np.count_nonzero(np.logical_or(trials.V, trials.W)))  # V + W > 0, without an int64 temporary
+    error = binomial(errors, replications)
     return SprtMcResult(
         mean_T=time.value,
         se_T=time.se,

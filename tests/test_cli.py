@@ -196,6 +196,8 @@ def test_load_config_errors(tmp_path):
         # a default horizon of 115,129,255 steps per trial, 120 trials
         ('"mu": 1.0', '"mu": 1e-3', "worst case 120 replications x 115129255 steps = 13815510600 "
                                     "steps exceeds the limit of 10000000000 steps"),
+        # a repeated stream would silently run a smaller signal set
+        ('"K": 4', '"K": 4, "signal_set": [1, 2, 2]', "^model.signal_set repeats stream index 2$"),
         # 1000 steps per trial, but each one draws K + 1 normals
         ('"K": 4', '"K": 1000000', "^worst case 120 replications x 1000 steps x 1000001 normals = "
                                    "120000120000 normals exceeds the limit of 100000000000 normals$"),
@@ -721,6 +723,47 @@ def test_simulate_at_two_hundred_thousand_streams_stays_small(tmp_path):
     status, peak_kb = out.splitlines()
     assert (rc, status, err) == (0, "0 3 True", "")
     assert int(peak_kb) < 150 * 1024, f"simulate at K=2*10^5 peaked at {int(peak_kb) / 1024:.0f} MB"
+
+
+def test_summary_and_trial_dump_memory_stays_flat_at_a_million_trials(tmp_path):
+    """Beyond the int64 result columns, summarizing and dumping a run hold one slice of trials.
+
+    The columns of 10^6 trials are built directly, without a simulation.  A whole-run list of
+    per-trial floats (about 32 MB) or a whole dump held as one string (about 20 MB, more as a
+    list of lines) exceeds the bound.
+    """
+    code = (
+        "import io, random, resource, sys\n"
+        "from array import array\n"
+        "from seqgap.cli import write_trial_dump\n"
+        "from seqgap.config import load_config\n"
+        "from seqgap.montecarlo import TrialColumns, summarize\n"
+        "spec = load_config(sys.argv[1]).spec\n"
+        "rng = random.Random(1)\n"
+        "pattern = []\n"
+        "for _ in range(1000):\n"
+        "    r = rng.randint(0, 4)\n"
+        "    v, w, x = rng.randint(0, r), rng.randint(0, 4 - r), int(rng.random() < 0.01)\n"
+        "    pattern.append((rng.randint(1, 40), v, w, r, x))\n"
+        "small = TrialColumns(*(array('q', column) for column in zip(*pattern)))\n"
+        "summarize(spec, small); write_trial_dump(io.StringIO(), small)  # imports and caches first\n"
+        "trials = TrialColumns(*(array('q', column) * 1000 for column in zip(*pattern)))\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "base = peak()\n"
+        "summarize(spec, trials)\n"
+        "summarized = peak()\n"
+        "with open('dump.csv', 'w', encoding='utf-8', newline='') as fh:\n"
+        "    write_trial_dump(fh, trials)\n"
+        "print(len(trials.T), summarized - base, peak() - base)"
+    )
+    cfg = write_config(tmp_path, base_config(mc={"replications": 10**6, "master_seed": 1}))
+    rc, out, err = _python(tmp_path, code, cfg)
+    assert (rc, err) == (0, ""), err
+    n, summary_kb, dump_kb = map(int, out.split())
+    assert n == 10**6
+    assert summary_kb < 10 * 1024, f"summarizing 10^6 trials added {summary_kb / 1024:.0f} MB"
+    assert dump_kb < 10 * 1024, f"summarizing and dumping 10^6 trials added {dump_kb / 1024:.0f} MB"
+    assert (tmp_path / "dump.csv").read_text().count("\n") == 10**6 + 1
 
 
 @pytest.mark.parametrize("module", ["seqgap"] + [

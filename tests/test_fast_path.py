@@ -23,9 +23,9 @@ import seqgap.model as model
 import seqgap.montecarlo as montecarlo
 import seqgap.rules as rules
 import seqgap.sprt as sprt
-from reference import gap_statistic, reference_order, threshold_at
+from reference import gap_statistic, reference_metrics, reference_order, threshold_at
 from seqgap.cli import TRIAL_DUMP_SCHEMA, write_trial_dump
-from seqgap.metrics import Estimate, MetricEstimates, binomial, confusion
+from seqgap.metrics import confusion
 from seqgap.model import ModelParams, update_stats
 from seqgap.montecarlo import (
     ExperimentSpec,
@@ -335,25 +335,9 @@ def _columns(spec, trials):
 
 
 def _reference_metrics(spec, trials):
-    """Per-trial proportions and indicators in Python floats, summed in order."""
-    K = spec.params.K
-    counts = [_scored(spec, t) for t in trials]
-    fdp = [v / max(r, 1) for v, _, r in counts]
-    fnp = [w / max(K - r, 1) for _, w, r in counts]
-
-    def conditional(values, qualifies):
-        kept = [x for x, q in zip(values, qualifies) if q]
-        return Estimate(sum(kept) / len(kept), None) if kept else Estimate(None, None, False)
-
-    return MetricEstimates(
-        fwer1=binomial([int(v >= 1) for v, _, _ in counts]),
-        fwer2=binomial([int(w >= 1) for _, w, _ in counts]),
-        pics=binomial([int(v + w > 0) for v, w, _ in counts]),
-        fdr=sample_mean(fdp),
-        fnr=sample_mean(fnp),
-        pfdr=conditional(fdp, [r >= 1 for _, _, r in counts]),
-        pfnr=conditional(fnp, [K - r >= 1 for _, _, r in counts]),
-    )
+    """The estimates from whole lists of the trials' scores, summed in trial order."""
+    V, W, R = zip(*(_scored(spec, t) for t in trials))
+    return reference_metrics(V, W, R, spec.params.K)
 
 
 @given(trial_lists())

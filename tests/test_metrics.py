@@ -1,12 +1,20 @@
+import io
+import random
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.strategies import composite
 
+import seqgap.metrics as metrics
+from seqgap.cli import TRIAL_DUMP_SCHEMA, write_trial_dump
+from reference import reference_metrics
 from seqgap.metrics import (
     Estimate,
     aggregate,
     confusion,
 )
+from seqgap.montecarlo import TrialColumns
 
 
 def one_trial(counts, K):
@@ -139,3 +147,61 @@ def test_single_trial_aggregation():
     est = aggregate([0], [0], [1], 2)
     assert est.fdr.se == 0.0
     assert est.fwer1.se == 0.0
+
+
+# ------------------------------------------------ slicing
+
+SLICE_SIZES = [1, 2, 3, metrics._SLICE]
+
+
+def whole_dump(trials):
+    """The trial dump as one join of every line."""
+    lines = [",".join(TRIAL_DUMP_SCHEMA) + "\n"]
+    for i, (t, v, w, r, x) in enumerate(zip(*trials)):
+        lines.append(f"{i},{t},{v},{w},{r},{'true' if x else 'false'}\n")
+    return "".join(lines)
+
+
+def trial_columns(K, R, pick):
+    """Columns for the given R column, with V, W, T and truncation chosen by ``pick(lo, hi)``."""
+    V = [pick(0, r) for r in R]
+    W = [pick(0, K - r) for r in R]
+    T = [pick(1, 10**6) for _ in R]
+    X = [pick(0, 1) for _ in R]
+    return TrialColumns(*(array("q", column) for column in (T, V, W, R, X)))
+
+
+@composite
+def trials_on_k_streams(draw):
+    """K <= 8 and columns of 1..20 trials, some with no rejection at all or every stream rejected."""
+    K = draw(st.integers(1, 8))
+    n = draw(st.just(1) | st.integers(1, 20))
+    R = draw(st.sampled_from([[0] * n, [K] * n]) | st.lists(st.integers(0, K), min_size=n, max_size=n))
+    return K, trial_columns(K, R, lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+def assert_slice_free(K, trials):
+    estimates = aggregate(trials.V, trials.W, trials.R, K)
+    assert estimates == reference_metrics(trials.V, trials.W, trials.R, K)
+    out = io.StringIO()
+    write_trial_dump(out, trials)
+    assert out.getvalue() == whole_dump(trials)
+
+
+@pytest.mark.parametrize("size", SLICE_SIZES)
+@given(trials_on_k_streams())
+def test_results_do_not_depend_on_the_slice_size(size, case):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_SLICE", size)
+        assert_slice_free(*case)
+
+
+@pytest.mark.parametrize("size", SLICE_SIZES)
+@pytest.mark.parametrize("R_kind", ["random", "none rejected", "all rejected"])
+def test_one_trial_past_a_slice_boundary(monkeypatch, size, R_kind):
+    monkeypatch.setattr(metrics, "_SLICE", size)
+    rng, K, n = random.Random(size), 6, size + 1
+    R = {"random": [rng.randint(0, K) for _ in range(n)], "none rejected": [0] * n,
+         "all rejected": [K] * n}[R_kind]
+    assert_slice_free(K, trial_columns(K, R, rng.randint))
+
