@@ -12,8 +12,9 @@ bit-identical.  Exit codes: 0 ok, 1 usage or config error, 2 experiment
 completed but unreliable (too many truncated trials), 3 I/O or worker
 failure.
 
-``calibrate``, ``sprt-asn`` and a config error load no numpy: the engine
-(``seqgap.montecarlo``) is imported by ``simulate`` and ``sweep`` alone.
+``calibrate``, ``sprt-asn`` and a config error load no numpy and no OpenSSL
+(``_hashlib``): the engine (``seqgap.montecarlo``) is imported by ``simulate``
+and ``sweep`` alone, and ``hashlib`` by ``experiment_id`` alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -61,6 +61,8 @@ TRIAL_DUMP_SCHEMA = ["trial_index", "stopping_time", "V", "W", "R", "truncated"]
 
 def experiment_id(spec: ExperimentSpec) -> str:
     """Short content hash of everything that determines the trial stream."""
+    import hashlib  # here, so that the commands that write no report do not load OpenSSL
+
     doc = spec_dict(spec)
     doc["mc"]["horizon_cap"] = spec.resolved_horizon_cap()
     doc["generator_id"] = GENERATOR_ID

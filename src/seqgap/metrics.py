@@ -16,9 +16,10 @@ Indicator metrics carry binomial standard errors, proportion metrics carry
 sample standard errors; the conditional metrics use the ratio-of-sums
 estimator and are reported as undefined (never 0) when no trial qualifies.
 
-Aggregation reads the columns one slice of ``_SLICE`` trials at a time, so
-its numpy temporaries and Python floats exist for one slice only and its
-memory does not grow with the number of trials.  Each float total is still
+Aggregation reads the columns one slice of ``_SLICE`` trials at a time, each
+slice widened to int64, so its numpy temporaries and Python floats exist for
+one slice only and its memory does not grow with the number of trials, even
+on columns narrower than int64.  Each float total is still
 one built-in ``sum`` over the whole trial-ordered stream of floats, never a
 sum of per-slice sums: the float ``sum`` of CPython 3.12+ is compensated
 across its whole input, so only one ``sum`` per total keeps the result
@@ -108,9 +109,15 @@ def _slices(*columns: Sequence) -> Iterator[list]:
         yield [column[start : start + _SLICE] for column in columns]
 
 
-def _count(vwr: Sequence[np.ndarray], test: Callable[..., np.ndarray]) -> int:
+def _int64_slices(vwr: Sequence[Sequence[int]]) -> Iterator[list[np.ndarray]]:
+    """V, W, R one slice at a time, each slice as int64 whatever the columns' width."""
+    for part in _slices(*vwr):
+        yield [np.asarray(column, dtype=np.int64) for column in part]
+
+
+def _count(vwr: Sequence[Sequence[int]], test: Callable[..., np.ndarray]) -> int:
     """Trials that pass ``test``, counted one slice at a time."""
-    return sum(int(np.count_nonzero(test(*part))) for part in _slices(*vwr))
+    return sum(int(np.count_nonzero(test(*part))) for part in _int64_slices(vwr))
 
 
 class _Floats:
@@ -120,7 +127,7 @@ class _Floats:
 
     def __init__(
         self,
-        vwr: Sequence[np.ndarray],
+        vwr: Sequence[Sequence[int]],
         floats: Callable[..., np.ndarray],
         keep: Callable[..., np.ndarray] | None = None,
     ) -> None:
@@ -131,7 +138,7 @@ class _Floats:
         return self._len
 
     def __iter__(self) -> Iterator[float]:
-        for part in _slices(*self._vwr):
+        for part in _int64_slices(self._vwr):
             values = self._floats(*part)
             if self._keep is not None:
                 values = values[self._keep(*part)]
@@ -154,10 +161,11 @@ def aggregate(V: Sequence[int], W: Sequence[int], R: Sequence[int], K: int) -> M
     cannot change a result.  Float sums depend on their order, so FDR, FNR
     and their conditional forms can change in the last digits if the trials
     are reordered; the harness passes trials in trial-index order, which
-    keeps reports byte-identical across ``--workers``.
+    keeps reports byte-identical across ``--workers``.  The columns may be
+    of any integer width: each slice is widened to int64, never a whole column.
     """
-    vwr = [np.asarray(column, dtype=np.int64) for column in (V, W, R)]
-    n = len(vwr[0])
+    vwr = (V, W, R)
+    n = len(V)
     if n == 0:
         raise ValueError("cannot aggregate an empty trial collection")
 

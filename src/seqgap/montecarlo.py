@@ -11,9 +11,9 @@ each distinct rejected set once.  Blocks of draws consume the random stream
 exactly as single steps would, so their sizes are free: a trial's first
 block is sized from the chunk's mean stopping time so far, later blocks
 are ``_BLOCK`` rows, fewer when K is so large that a block would hold
-over 2**16 draws.  A chunk returns int64 columns (T, V, W, R,
-truncated) in trial-index order, which are all the summary, the SPRT's
-error rate and the trial dump read.
+over 2**16 draws.  A chunk returns columns (T, V, W, R, truncated) in
+trial-index order, 12 B per trial for K < 256, which are all the summary,
+the SPRT's error rate and the trial dump read.
 
 ``workers=N`` runs on at most N processes, this one included: it runs
 chunks itself beside a pool of N - 1 workers, and both draw chunk starts
@@ -145,9 +145,17 @@ class TrialResult(NamedTuple):
 
 
 class TrialColumns(NamedTuple):
-    """Per-trial results in trial-index order, one int64 column each: the
+    """Per-trial results in trial-index order, one ``array`` column each: the
     stopping time, the confusion counts of the rejected set, and 1 for a
-    trial the horizon cut off."""
+    trial the horizon cut off.
+
+    ``T`` is int64, since a horizon may exceed 2**32.  V, W and R lie in
+    0..K, so they take the narrowest unsigned typecode that holds K (``'B'``
+    below 256, ``'H'`` below 65536, then ``'I'``, or ``'Q'`` from 2**32 up),
+    and ``truncated`` takes ``'B'``: 12 B per trial for K < 256, against
+    40 B in int64.  An ``array`` refuses an out-of-range value with
+    ``OverflowError`` rather than wrapping it.
+    """
 
     T: array
     V: array
@@ -156,8 +164,10 @@ class TrialColumns(NamedTuple):
     truncated: array
 
     @classmethod
-    def zeros(cls, n: int) -> TrialColumns:
-        return cls(*(array("q", [0]) * n for _ in cls._fields))
+    def zeros(cls, n: int, K: int) -> TrialColumns:
+        """Columns of ``n`` zero trials on ``K`` streams, in the widths above."""
+        counts = next(code for code in "BHIQ" if K < 256 ** array(code).itemsize)
+        return cls(*(array(code, [0]) * n for code in ("q", counts, counts, counts, "B")))
 
 
 # (generator, first block size) -> stopping time, rejected set (None if truncated);
@@ -206,7 +216,7 @@ def _run_trials(
     master_seed: int, start: int, stop: int, trial: Trial, signal_set: frozenset[int], K: int
 ) -> TrialColumns:
     """The trial loop: trials ``start`` to ``stop - 1`` as columns."""
-    columns = TrialColumns.zeros(stop - start)
+    columns = TrialColumns.zeros(stop - start, K)
     T, V, W, R, truncated = columns
     wrong = frozenset(range(1, K + 1)) - signal_set  # a truncated trial's scored set
     scored: dict[frozenset[int], tuple[int, int, int]] = {}
@@ -280,7 +290,7 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     pending = list(reversed(starts))  # popped from the end: lowest start first
     lock = threading.Lock()  # a start is popped and its future listed in one step
     submitted: list[tuple[int, Future[TrialColumns]]] = []
-    columns = TrialColumns.zeros(n)
+    columns = TrialColumns.zeros(n, spec.params.K)
 
     def take() -> int | None:
         with lock:
@@ -301,8 +311,13 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
             pending.clear()
 
     def place(s: int, part: TrialColumns) -> None:
+        # a slice assignment needs equal typecodes: both sides come from zeros(_, K)
         for column, values in zip(columns, part):
             column[s:s + len(values)] = values
+
+    # the workers fork at the first submit: with numpy.random (and the OpenSSL that it
+    # loads) loaded first, they share its pages rather than each loading its own
+    import numpy.random  # noqa: F401
 
     trial = _rule_trial(spec, spec.resolved_horizon_cap())
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:

@@ -286,18 +286,25 @@ def test_two_runs_are_bit_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("kind", sorted(RULE_KINDS))
+# the gap rule on 256 streams, whose V, W and R columns are 16-bit: the pool's chunks must
+# land in them; at horizon 6 most trials truncate (exit 2), scoring V = R = 255 and W = 1
+WIDE_GAP = ({"K": 256, "rho": 0.5, "mu": 1.0}, {"kind": "gap", "m": 1}, ["--horizon", 6], 2)
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_KINDS) + ["gap-K256"])
 def test_outputs_do_not_depend_on_workers(tmp_path, kind):
-    model, rule = RULE_EXAMPLES[kind]
+    model, rule, extra, status = (*RULE_EXAMPLES[kind], [], 0) if kind in RULE_KINDS else WIDE_GAP
     cfg = write_config(tmp_path, base_config(model=model, rule=rule))
     outputs = []
     for workers in (1, 2):
         report, dump = tmp_path / f"r{workers}.csv", tmp_path / f"t{workers}.csv"
         # 128 = 2 * _BLOCK trials, the fewest that run in a pool
         assert run_cli(["simulate", "--config", cfg, "--out", report, "--trial-dump", dump,
-                        "--reps", 128, "--workers", workers]) == 0
+                        "--reps", 128, "--workers", workers, *extra]) == status
         outputs.append((report.read_bytes(), dump.read_bytes()))
     assert outputs[0] == outputs[1]
+    if kind == "gap-K256":
+        assert b",6,255,1,255,true\n" in outputs[0][1]
 
 
 def test_trial_dump(tmp_path):
@@ -639,8 +646,9 @@ def test_python_m_seqgap_runs_the_cli(tmp_path, valid):
         assert package.returncode == 1 and package.stderr.startswith("error: ")
 
 
-# Modules that the spec layer and the commands that run no trials must not load.
-_ENGINE_ONLY = ("numpy", "numpy.random", "multiprocessing")
+# Modules that the spec layer and the commands that run no trials must not load:
+# the engine's, and OpenSSL's (``_hashlib``), which only a report's experiment id needs.
+_TRIAL_ONLY = ("numpy", "numpy.random", "multiprocessing", "_hashlib")
 
 
 def _python(tmp_path, code, *argv):
@@ -652,15 +660,15 @@ def _python(tmp_path, code, *argv):
 
 
 def _loaded_after(tmp_path, statement, *argv):
-    code = f"import sys\n{statement}\nprint([m for m in {_ENGINE_ONLY!r} if m in sys.modules])"
+    code = f"import sys\n{statement}\nprint([m for m in {_TRIAL_ONLY!r} if m in sys.modules])"
     return _python(tmp_path, code, *argv)
 
 
 def test_the_spec_layer_and_the_trial_free_commands_load_no_numpy(tmp_path):
     """Parsing, calibrating and checking a config need only ``math``.
 
-    numpy, ``numpy.random`` and ``multiprocessing`` stay unloaded after
-    importing every module but the engine and after ``calibrate``,
+    numpy, ``numpy.random``, ``multiprocessing`` and ``_hashlib`` stay
+    unloaded after importing every module but the engine and after ``calibrate``,
     ``sprt-asn`` and a bad config.  The package still resolves
     ``run_experiment``, and importing the engine loads numpy.
     """
@@ -726,11 +734,13 @@ def test_simulate_at_two_hundred_thousand_streams_stays_small(tmp_path):
 
 
 def test_summary_and_trial_dump_memory_stays_flat_at_a_million_trials(tmp_path):
-    """Beyond the int64 result columns, summarizing and dumping a run hold one slice of trials.
+    """Beyond the result columns, summarizing and dumping a run hold one slice of trials.
 
-    The columns of 10^6 trials are built directly, without a simulation.  A whole-run list of
-    per-trial floats (about 32 MB) or a whole dump held as one string (about 20 MB, more as a
-    list of lines) exceeds the bound.
+    The columns of 10^6 trials are built directly, without a simulation, once all int64 and
+    once in the widths that ``TrialColumns.zeros`` picks for K = 4, each in a fresh interpreter.
+    A whole-run list of per-trial floats (about 32 MB), a whole dump held as one string (about
+    20 MB, more as a list of lines) or an int64 copy of the narrow V, W and R columns (24 MB)
+    exceeds the bound.
     """
     code = (
         "import io, random, resource, sys\n"
@@ -745,9 +755,9 @@ def test_summary_and_trial_dump_memory_stays_flat_at_a_million_trials(tmp_path):
         "    r = rng.randint(0, 4)\n"
         "    v, w, x = rng.randint(0, r), rng.randint(0, 4 - r), int(rng.random() < 0.01)\n"
         "    pattern.append((rng.randint(1, 40), v, w, r, x))\n"
-        "small = TrialColumns(*(array('q', column) for column in zip(*pattern)))\n"
+        "small = TrialColumns(*map(array, sys.argv[2], zip(*pattern)))\n"
         "summarize(spec, small); write_trial_dump(io.StringIO(), small)  # imports and caches first\n"
-        "trials = TrialColumns(*(array('q', column) * 1000 for column in zip(*pattern)))\n"
+        "trials = TrialColumns(*(column * 1000 for column in small))\n"
         "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "base = peak()\n"
         "summarize(spec, trials)\n"
@@ -757,13 +767,20 @@ def test_summary_and_trial_dump_memory_stays_flat_at_a_million_trials(tmp_path):
         "print(len(trials.T), summarized - base, peak() - base)"
     )
     cfg = write_config(tmp_path, base_config(mc={"replications": 10**6, "master_seed": 1}))
-    rc, out, err = _python(tmp_path, code, cfg)
-    assert (rc, err) == (0, ""), err
-    n, summary_kb, dump_kb = map(int, out.split())
-    assert n == 10**6
-    assert summary_kb < 10 * 1024, f"summarizing 10^6 trials added {summary_kb / 1024:.0f} MB"
-    assert dump_kb < 10 * 1024, f"summarizing and dumping 10^6 trials added {dump_kb / 1024:.0f} MB"
-    assert (tmp_path / "dump.csv").read_text().count("\n") == 10**6 + 1
+    # a process starts with the peak RSS of the one it was forked from, so the code runs in a
+    # grandchild of a small interpreter, not in a child of the test runner
+    launch = "import subprocess, sys\nsys.exit(subprocess.run([sys.executable, *sys.argv[1:]]).returncode)"
+    narrow = "".join(column.typecode for column in montecarlo.TrialColumns.zeros(0, 4))
+    for typecodes in ("qqqqq", narrow):
+        rc, out, err = _python(tmp_path, launch, "-c", code, cfg, typecodes)
+        assert (rc, err) == (0, ""), err
+        n, summary_kb, dump_kb = map(int, out.split())
+        assert n == 10**6
+        assert summary_kb < 10 * 1024, (
+            f"{typecodes}: summarizing 10^6 trials added {summary_kb / 1024:.0f} MB")
+        assert dump_kb < 10 * 1024, (
+            f"{typecodes}: summarizing and dumping 10^6 trials added {dump_kb / 1024:.0f} MB")
+        assert (tmp_path / "dump.csv").read_text().count("\n") == 10**6 + 1
 
 
 @pytest.mark.parametrize("module", ["seqgap"] + [

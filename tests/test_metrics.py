@@ -162,30 +162,38 @@ def whole_dump(trials):
     return "".join(lines)
 
 
-def trial_columns(K, R, pick):
-    """Columns for the given R column, with V, W, T and truncation chosen by ``pick(lo, hi)``."""
+def widths(K):
+    """Column typecodes: all int64, and the narrower ones that ``TrialColumns.zeros`` picks for K."""
+    return ["qqqqq", "".join(column.typecode for column in TrialColumns.zeros(0, K))]
+
+
+def trial_columns(K, R, pick, typecodes):
+    """Columns for the given R column, with V, W, T and truncation chosen by ``pick(lo, hi)``,
+    the same values once in each entry of ``typecodes`` (one typecode per column)."""
     V = [pick(0, r) for r in R]
     W = [pick(0, K - r) for r in R]
     T = [pick(1, 10**6) for _ in R]
     X = [pick(0, 1) for _ in R]
-    return TrialColumns(*(array("q", column) for column in (T, V, W, R, X)))
+    return [TrialColumns(*map(array, codes, (T, V, W, R, X))) for codes in typecodes]
 
 
 @composite
 def trials_on_k_streams(draw):
-    """K <= 8 and columns of 1..20 trials, some with no rejection at all or every stream rejected."""
-    K = draw(st.integers(1, 8))
+    """K <= 8 or at a width's edge, and columns of 1..20 trials, some with no rejection at all
+    or every stream rejected, in each of the ``widths`` of K."""
+    K = draw(st.integers(1, 8) | st.sampled_from([255, 256, 65536]))
     n = draw(st.just(1) | st.integers(1, 20))
     R = draw(st.sampled_from([[0] * n, [K] * n]) | st.lists(st.integers(0, K), min_size=n, max_size=n))
-    return K, trial_columns(K, R, lambda lo, hi: draw(st.integers(lo, hi)))
+    return K, trial_columns(K, R, lambda lo, hi: draw(st.integers(lo, hi)), widths(K))
 
 
-def assert_slice_free(K, trials):
-    estimates = aggregate(trials.V, trials.W, trials.R, K)
-    assert estimates == reference_metrics(trials.V, trials.W, trials.R, K)
-    out = io.StringIO()
-    write_trial_dump(out, trials)
-    assert out.getvalue() == whole_dump(trials)
+def assert_slice_free(K, typed_trials):
+    for trials in typed_trials:
+        estimates = aggregate(trials.V, trials.W, trials.R, K)
+        assert estimates == reference_metrics(trials.V, trials.W, trials.R, K)
+        out = io.StringIO()
+        write_trial_dump(out, trials)
+        assert out.getvalue() == whole_dump(trials)
 
 
 @pytest.mark.parametrize("size", SLICE_SIZES)
@@ -203,5 +211,5 @@ def test_one_trial_past_a_slice_boundary(monkeypatch, size, R_kind):
     rng, K, n = random.Random(size), 6, size + 1
     R = {"random": [rng.randint(0, K) for _ in range(n)], "none rejected": [0] * n,
          "all rejected": [K] * n}[R_kind]
-    assert_slice_free(K, trial_columns(K, R, rng.randint))
+    assert_slice_free(K, trial_columns(K, R, rng.randint, widths(K)))
 

@@ -280,6 +280,20 @@ def _columns(outcomes, signal_set, K):
     return TrialColumns(*(array("q", column) for column in zip(*rows)))
 
 
+@pytest.mark.parametrize("K, width", [(1, "B"), (255, "B"), (256, "H"), (65535, "H"), (65536, "I")])
+def test_count_columns_take_the_narrowest_width_that_holds_K(K, width):
+    columns = TrialColumns.zeros(2, K)
+    assert [column.typecode for column in columns] == ["q", width, width, width, "B"]
+    assert columns == TrialColumns(*(array("q", [0, 0]) for _ in TrialColumns._fields))
+    columns.T[0] = 10**10  # a horizon may exceed 2**32
+    for column in (columns.V, columns.W, columns.R):
+        column[0] = K
+        assert column[0] == K
+        with pytest.raises(OverflowError):  # refused, never wrapped
+            column[1] = 256 ** column.itemsize
+    assert columns.T[0] == 10**10
+
+
 SPRT_CONFIG = SprtConfig(0.0, 1.0, 1.0, 0.01, 0.01)
 
 
