@@ -14,7 +14,8 @@ failure.
 
 ``calibrate``, ``sprt-asn`` and a config error load no numpy and no OpenSSL
 (``_hashlib``): the engine (``seqgap.montecarlo``) is imported by ``simulate``
-and ``sweep`` alone, and ``hashlib`` by ``experiment_id`` alone.
+and ``sweep`` alone, and ``hashlib`` by ``experiment_id`` alone.  No command
+imports ``concurrent.futures`` here: only a run that starts a pool loads it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence, TextIO
 
@@ -352,7 +352,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except BrokenExecutor as exc:  # BrokenProcessPool, without importing multiprocessing
+    except RuntimeError as exc:
+        # a broken pool (BrokenProcessPool) can only come from a run that loaded its module
+        if not isinstance(exc, getattr(sys.modules.get("concurrent.futures"), "BrokenExecutor", ())):
+            raise
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 3
 

@@ -16,23 +16,22 @@ Indicator metrics carry binomial standard errors, proportion metrics carry
 sample standard errors; the conditional metrics use the ratio-of-sums
 estimator and are reported as undefined (never 0) when no trial qualifies.
 
-Aggregation reads the columns one slice of ``_SLICE`` trials at a time, each
-slice widened to int64, so its numpy temporaries and Python floats exist for
-one slice only and its memory does not grow with the number of trials, even
-on columns narrower than int64.  Each float total is still
-one built-in ``sum`` over the whole trial-ordered stream of floats, never a
-sum of per-slice sums: the float ``sum`` of CPython 3.12+ is compensated
-across its whole input, so only one ``sum`` per total keeps the result
-independent of the slice size on every supported Python.
+Aggregation reads V, W and R entry by entry from any integer sequences,
+copies no column and loads no numpy.  Each float total is one built-in
+``sum`` over the whole trial-ordered stream, never a sum of partial sums:
+the float ``sum`` of CPython 3.12+ is compensated across its whole input.
+A trial's proportion depends only on its (V, R) or (W, R) pair, of which a
+run has few, so each pair is divided once and then looked up.  The trial
+dump reads the columns ``_SLICE`` trials at a time through ``_slices``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import countOf, lt
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 __all__ = [
     "Estimate",
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 _SLICE = 4096  # trials per slice of the columns
+_QUOTIENTS_KEPT = 4096  # (V, R) or (W, R) pairs kept: all (K + 1)(K + 2) / 2 of them up to K = 89
 
 
 def confusion(rejected: Iterable[int], signal_set: Iterable[int], K: int) -> tuple[int, int, int]:
@@ -109,78 +109,61 @@ def _slices(*columns: Sequence) -> Iterator[list]:
         yield [column[start : start + _SLICE] for column in columns]
 
 
-def _int64_slices(vwr: Sequence[Sequence[int]]) -> Iterator[list[np.ndarray]]:
-    """V, W, R one slice at a time, each slice as int64 whatever the columns' width."""
-    for part in _slices(*vwr):
-        yield [np.asarray(column, dtype=np.int64) for column in part]
-
-
-def _count(vwr: Sequence[Sequence[int]], test: Callable[..., np.ndarray]) -> int:
-    """Trials that pass ``test``, counted one slice at a time."""
-    return sum(int(np.count_nonzero(test(*part))) for part in _int64_slices(vwr))
-
-
 class _Floats:
-    """Per-trial floats in trial order, computed one slice at a time on each
-    pass: ``floats`` of the slice's V, W, R, restricted to the trials that
-    pass ``keep`` (all of them when it is None)."""
+    """``n`` floats that ``values()`` yields afresh on each of ``sample_mean``'s two passes."""
 
-    def __init__(
-        self,
-        vwr: Sequence[Sequence[int]],
-        floats: Callable[..., np.ndarray],
-        keep: Callable[..., np.ndarray] | None = None,
-    ) -> None:
-        self._vwr, self._floats, self._keep = vwr, floats, keep
-        self._len = len(vwr[0]) if keep is None else _count(vwr, keep)
+    def __init__(self, values: Callable[[], Iterator[float]], n: int) -> None:
+        self._values, self._len = values, n
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[float]:
-        for part in _int64_slices(self._vwr):
-            values = self._floats(*part)
-            if self._keep is not None:
-                values = values[self._keep(*part)]
-            yield from values.tolist()
+        return self._values()
 
 
-def _conditional(values: _Floats) -> Estimate:
-    if len(values) == 0:
+class _Quotients(dict):
+    """``quotient(*key)`` as a Python float by key, each computed once; at most ``_QUOTIENTS_KEPT`` kept."""
+
+    def __init__(self, quotient: Callable[[int, int], float]) -> None:
+        self._quotient = quotient
+
+    def __missing__(self, key: tuple[int, int]) -> float:
+        value = float(self._quotient(*key))  # a Python float even from numpy integers
+        if len(self) < _QUOTIENTS_KEPT:
+            self[key] = value
+        return value
+
+
+def _conditional(values: Iterator[float], n: int) -> Estimate:
+    if n == 0:
         return Estimate(value=None, se=None, defined=False)
-    return Estimate(value=sum(values) / len(values), se=None)
+    return Estimate(value=sum(values) / n, se=None)
 
 
 def aggregate(V: Sequence[int], W: Sequence[int], R: Sequence[int], K: int) -> MetricEstimates:
     """Metric estimates from per-trial V, W, R columns on K streams.
 
-    The proportions are computed per trial (float division is correctly
-    rounded, so each equals Python's ``V / max(R, 1)``), one slice of
-    ``_SLICE`` trials at a time, and each total is one built-in ``sum`` over
-    the Python floats of every slice in the order given, so the slice size
-    cannot change a result.  Float sums depend on their order, so FDR, FNR
-    and their conditional forms can change in the last digits if the trials
-    are reordered; the harness passes trials in trial-index order, which
+    Each proportion is Python's ``V / max(R, 1)`` or ``W / max(K - R, 1)``,
+    correctly rounded, and each total is one ``sum`` in the order given:
+    reordered trials can change FDR, FNR and their conditional forms in the
+    last digits, so the harness passes them in trial-index order, which
     keeps reports byte-identical across ``--workers``.  The columns may be
-    of any integer width: each slice is widened to int64, never a whole column.
+    any sequences of integers, Python's or numpy's, and are never copied.
     """
-    vwr = (V, W, R)
     n = len(V)
     if n == 0:
         raise ValueError("cannot aggregate an empty trial collection")
-
-    def fdp(v, w, r):
-        return v / np.maximum(r, 1)
-
-    def fnp(v, w, r):
-        return w / np.maximum(K - r, 1)
-
+    fdp = _Quotients(lambda v, r: v / max(r, 1))
+    fnp = _Quotients(lambda w, r: w / max(K - r, 1))
+    fdps = lambda: map(fdp.__getitem__, zip(V, R))
+    fnps = lambda: map(fnp.__getitem__, zip(W, R))
     return MetricEstimates(
-        fwer1=binomial(_count(vwr, lambda v, w, r: v >= 1), n),
-        fwer2=binomial(_count(vwr, lambda v, w, r: w >= 1), n),
-        pics=binomial(_count(vwr, lambda v, w, r: v + w > 0), n),
-        fdr=sample_mean(_Floats(vwr, fdp)),
-        fnr=sample_mean(_Floats(vwr, fnp)),
-        pfdr=_conditional(_Floats(vwr, fdp, lambda v, w, r: r >= 1)),
-        pfnr=_conditional(_Floats(vwr, fnp, lambda v, w, r: r < K)),
+        fwer1=binomial(n - countOf(V, 0), n),
+        fwer2=binomial(n - countOf(W, 0), n),
+        pics=binomial(sum(1 for v, w in zip(V, W) if v or w), n),
+        fdr=sample_mean(_Floats(fdps, n)),
+        fnr=sample_mean(_Floats(fnps, n)),
+        pfdr=_conditional(compress(fdps(), R), n - countOf(R, 0)),  # the trials with R >= 1
+        pfnr=_conditional(compress(fnps(), map(lt, R, repeat(K))), n - countOf(R, K)),  # and with R < K
     )

@@ -147,9 +147,11 @@ def llr_star(stats: SufficientStats, i: int, params: ModelParams) -> float:
 
     The exact statistic would use the idiosyncratic (shared-factor-free)
     sums, which are unobservable; the observable S_i substitutes for them.
-    Pairwise differences of the two versions agree in distribution, and the
-    stopping rules depend on differences only.  The factor mu/(1-rho) is
-    computed once, when the params are built.
+    Pairwise differences of the two versions agree in distribution, but the
+    single values do not: ``gi_rule_step`` compares single llrs with -a and
+    b, so at rho > 0 the shared factor moves GI's decisions, which is why GI
+    is refused there unless ``experimental_correlated`` is set.  The factor
+    mu/(1-rho) is computed once, when the params are built.
     """
     n, sums = stats
     if not 1 <= i <= len(sums):

@@ -12,13 +12,15 @@ exactly as single steps would, so their sizes are free: a trial's first
 block is sized from the chunk's mean stopping time so far, later blocks
 are ``_BLOCK`` rows, fewer when K is so large that a block would hold
 over 2**16 draws.  A chunk returns columns (T, V, W, R, truncated) in
-trial-index order, 12 B per trial for K < 256, which are all the summary,
-the SPRT's error rate and the trial dump read.
+trial-index order, 6 B per trial for K < 256 and a horizon below 65536,
+which are all the summary, the SPRT's error rate and the trial dump read.
 
 ``workers=N`` runs on at most N processes, this one included: it runs
 chunks itself beside a pool of N - 1 workers, and both draw chunk starts
 from one dispenser.  Chunks are sized for N processes, and each chunk's
 columns land by trial index, so the results are those of a serial run.
+Only a run that starts a pool imports ``concurrent.futures``, and with it
+``multiprocessing``'s pipes and ``logging``: a single-process run loads none.
 
 A trial returns ``(stopping_time, rejected)``, with ``rejected`` None when
 the horizon cap cut it off; ``run_trial`` returns that pair as a
@@ -37,10 +39,10 @@ import math
 import os
 import threading
 from array import array
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import Callable, Iterator, Literal, NamedTuple, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
@@ -57,6 +59,9 @@ from .metrics import MetricEstimates, aggregate, binomial, confusion, sample_mea
 from .model import sample_block, update_stats
 from .rules import GapRuleSpec, GiRuleSpec, MaxGapRuleSpec, RuleSpec
 from .sprt import REJECT_H0, SprtConfig, asn_asymptotic, run_sprt
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 __all__ = [
     "GENERATOR_ID",
@@ -144,17 +149,22 @@ class TrialResult(NamedTuple):
     rejected: frozenset[int] | None
 
 
+def _unsigned(most: int) -> str:
+    """The narrowest unsigned ``array`` typecode that holds 0..``most``."""
+    return next(code for code in "BHIQ" if most < 256 ** array(code).itemsize)
+
+
 class TrialColumns(NamedTuple):
     """Per-trial results in trial-index order, one ``array`` column each: the
     stopping time, the confusion counts of the rejected set, and 1 for a
     trial the horizon cut off.
 
-    ``T`` is int64, since a horizon may exceed 2**32.  V, W and R lie in
-    0..K, so they take the narrowest unsigned typecode that holds K (``'B'``
-    below 256, ``'H'`` below 65536, then ``'I'``, or ``'Q'`` from 2**32 up),
-    and ``truncated`` takes ``'B'``: 12 B per trial for K < 256, against
-    40 B in int64.  An ``array`` refuses an out-of-range value with
-    ``OverflowError`` rather than wrapping it.
+    A stopping time lies in 0..horizon and V, W and R in 0..K: each takes
+    the narrowest unsigned typecode that holds its bound (``'B'`` below 256,
+    ``'H'`` below 65536, ``'I'`` below 2**32, else ``'Q'``), and ``truncated``
+    takes ``'B'``: 6 B per trial for K < 256 and a horizon below 65536.  An
+    ``array`` refuses an out-of-range value with ``OverflowError`` rather
+    than wrapping it.
     """
 
     T: array
@@ -164,10 +174,10 @@ class TrialColumns(NamedTuple):
     truncated: array
 
     @classmethod
-    def zeros(cls, n: int, K: int) -> TrialColumns:
-        """Columns of ``n`` zero trials on ``K`` streams, in the widths above."""
-        counts = next(code for code in "BHIQ" if K < 256 ** array(code).itemsize)
-        return cls(*(array(code, [0]) * n for code in ("q", counts, counts, counts, "B")))
+    def zeros(cls, n: int, K: int, horizon: int) -> TrialColumns:
+        """``n`` zero trials on ``K`` streams up to ``horizon`` steps, in the widths above."""
+        times, counts = _unsigned(horizon), _unsigned(K)
+        return cls(*(array(code, [0]) * n for code in (times, counts, counts, counts, "B")))
 
 
 # (generator, first block size) -> stopping time, rejected set (None if truncated);
@@ -212,11 +222,12 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     return TrialResult(*_rule_trial(spec, spec.resolved_horizon_cap())(rng, _BLOCK))
 
 
-def _run_trials(
-    master_seed: int, start: int, stop: int, trial: Trial, signal_set: frozenset[int], K: int
-) -> TrialColumns:
-    """The trial loop: trials ``start`` to ``stop - 1`` as columns."""
-    columns = TrialColumns.zeros(stop - start, K)
+def _run_trials(master_seed: int, start: int, stop: int, make_trial: Callable[[int], Trial], horizon: int,
+                signal_set: frozenset[int], K: int) -> TrialColumns:
+    """The trial loop: trials ``start`` to ``stop - 1`` as columns, of a trial built for the horizon
+    that sizes ``T``, so that no stopping time can outgrow its column."""
+    trial = make_trial(horizon)
+    columns = TrialColumns.zeros(stop - start, K, horizon)
     T, V, W, R, truncated = columns
     wrong = frozenset(range(1, K + 1)) - signal_set  # a truncated trial's scored set
     scored: dict[frozenset[int], tuple[int, int, int]] = {}
@@ -239,8 +250,8 @@ def _run_trials(
 
 
 def _run_chunk(spec: ExperimentSpec, start: int, stop: int) -> TrialColumns:
-    trial = _rule_trial(spec, spec.resolved_horizon_cap())
-    return _run_trials(spec.master_seed, start, stop, trial, spec.params.signal_set, spec.params.K)
+    return _run_trials(spec.master_seed, start, stop, partial(_rule_trial, spec), spec.resolved_horizon_cap(),
+                       spec.params.signal_set, spec.params.K)
 
 
 def _usable_cpus() -> int:
@@ -268,11 +279,9 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     1.07 s).
 
     This process runs its chunks through ``_run_trials``, not through
-    ``_run_chunk``, the pool's entry point.  Building the trial per chunk
-    would cost only about 7 us, but the dead-worker tests patch
-    ``_run_chunk`` to kill the process that runs it: this process would
-    kill itself, and leave a forked worker blocked forever on its
-    call-queue pipe.
+    ``_run_chunk``, the pool's entry point: the dead-worker tests patch
+    ``_run_chunk`` to kill the process that runs it, so this process would
+    kill itself, and leave a forked worker blocked forever on its call-queue pipe.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -287,10 +296,11 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     if workers == 1 or n < 2 * _BLOCK:
         return _run_chunk(spec, 0, n)
 
+    horizon = spec.resolved_horizon_cap()
     pending = list(reversed(starts))  # popped from the end: lowest start first
     lock = threading.Lock()  # a start is popped and its future listed in one step
     submitted: list[tuple[int, Future[TrialColumns]]] = []
-    columns = TrialColumns.zeros(n, spec.params.K)
+    columns = TrialColumns.zeros(n, spec.params.K, horizon)
 
     def take() -> int | None:
         with lock:
@@ -311,15 +321,16 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
             pending.clear()
 
     def place(s: int, part: TrialColumns) -> None:
-        # a slice assignment needs equal typecodes: both sides come from zeros(_, K)
+        # a slice assignment needs equal typecodes: both sides come from zeros(_, K, horizon)
         for column, values in zip(columns, part):
             column[s:s + len(values)] = values
 
-    # the workers fork at the first submit: with numpy.random (and the OpenSSL that it
-    # loads) loaded first, they share its pages rather than each loading its own
+    # the workers fork at the first submit: with the pool's modules and numpy.random (and the
+    # OpenSSL that it loads) loaded first, they share those pages rather than each loading its own
+    from concurrent.futures import ProcessPoolExecutor
+
     import numpy.random  # noqa: F401
 
-    trial = _rule_trial(spec, spec.resolved_horizon_cap())
     with ProcessPoolExecutor(max_workers=workers - 1) as pool:
         # the pool's __exit__ waits for every submitted chunk: on an error,
         # submit no more of them
@@ -327,8 +338,8 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
             for _ in range(2 * (workers - 1)):  # one running and one queued per worker
                 feed(pool)
             while (s := take()) is not None:
-                place(s, _run_trials(spec.master_seed, s, min(s + chunk, n), trial,
-                                     spec.params.signal_set, spec.params.K))
+                place(s, _run_trials(spec.master_seed, s, min(s + chunk, n), partial(_rule_trial, spec),
+                                     horizon, spec.params.signal_set, spec.params.K))
             # every start is taken, so no more futures are listed
             for s, future in submitted:
                 place(s, future.result())
@@ -498,10 +509,9 @@ def sprt_error_mc(
         raise ValueError(f"truth must be 'h0' or 'h1', got {truth!r}")
     horizon = _run_horizon(master_seed, replications, horizon_cap, asn_asymptotic(config), draws_per_step=1)
     signal_set = frozenset() if truth == "h0" else REJECT_H0
-    trials = _run_trials(master_seed, 0, replications, _sprt_trial(config, truth, horizon), signal_set, 1)
+    trials = _run_trials(master_seed, 0, replications, partial(_sprt_trial, config, truth), horizon, signal_set, 1)
     time = sample_mean(trials.T)
-    errors = int(np.count_nonzero(np.logical_or(trials.V, trials.W)))  # V + W > 0, without an int64 temporary
-    error = binomial(errors, replications)
+    error = binomial(sum(1 for v, w in zip(trials.V, trials.W) if v or w), replications)  # V + W > 0
     return SprtMcResult(
         mean_T=time.value,
         se_T=time.se,

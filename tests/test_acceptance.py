@@ -112,7 +112,10 @@ def test_criterion_03_asymptotic_optimality_ratio():
     ratios = [p.summary.ratio for p in points]
     assert all(p.summary.truncation_count == 0 for p in points)
     assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
-    assert 0.8 <= ratios[-1] <= 1.6  # engineering band: overshoot keeps desk scale off 1
+    # engineering band: the second-order sqrt|log alpha| term, not overshoot, keeps the ratio
+    # off 1 (even the exact K=2 ratio is still 1.09 at 1e-8, while the slope of E[T] in
+    # |log alpha| is already (1 - rho) / mu^2)
+    assert 0.8 <= ratios[-1] <= 1.6
     _passed("criterion 3", "ratios " + ", ".join(f"{r:.3f}" for r in ratios))
 
 

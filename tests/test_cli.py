@@ -659,8 +659,8 @@ def _python(tmp_path, code, *argv):
     return result.returncode, result.stdout, result.stderr
 
 
-def _loaded_after(tmp_path, statement, *argv):
-    code = f"import sys\n{statement}\nprint([m for m in {_TRIAL_ONLY!r} if m in sys.modules])"
+def _loaded_after(tmp_path, statement, *argv, modules=_TRIAL_ONLY):
+    code = f"import sys\n{statement}\nprint([m for m in {modules!r} if m in sys.modules])"
     return _python(tmp_path, code, *argv)
 
 
@@ -672,7 +672,8 @@ def test_the_spec_layer_and_the_trial_free_commands_load_no_numpy(tmp_path):
     ``sprt-asn`` and a bad config.  The package still resolves
     ``run_experiment``, and importing the engine loads numpy.
     """
-    spec_layer = "import seqgap, seqgap.cli, seqgap.config, seqgap.rules, seqgap.sprt, seqgap.model"
+    spec_layer = ("import seqgap, seqgap.cli, seqgap.config, seqgap.rules, seqgap.sprt, seqgap.model, "
+                  "seqgap.metrics")
     assert _loaded_after(tmp_path, spec_layer) == (0, "[]\n", "")
     good = write_config(tmp_path, base_config())
     bad = write_config(tmp_path, base_config(model={"K": 4, "rho": 0.5, "mu": 1.0, "signal_set": [1, 9]}),
@@ -689,6 +690,33 @@ def test_the_spec_layer_and_the_trial_free_commands_load_no_numpy(tmp_path):
     assert (code, out.startswith("seqgap.montecarlo\n"), "'numpy'" in out, err) == (0, True, True, "")
     code, out, err = _loaded_after(tmp_path, "import seqgap.montecarlo")
     assert (code, "'numpy'" in out, err) == (0, True, "")
+
+
+# Modules that only a run that starts a process pool may load.
+_POOL_ONLY = ("concurrent.futures", "concurrent.futures.process", "multiprocessing",
+              "multiprocessing.connection", "logging", "queue")
+
+
+def test_only_a_run_that_starts_a_pool_loads_the_pool_stack(tmp_path):
+    """A single-process ``simulate`` with a trial dump and an ``sprt_error_mc`` call load no
+    ``concurrent.futures``, ``multiprocessing`` or ``logging``; a ``--workers 2`` run loads the
+    pool, and writes the same bytes."""
+    cfg = write_config(tmp_path, base_config(mc={"replications": 300, "master_seed": 2024}))
+    run = "from seqgap.cli import main\nprint('exit', main(sys.argv[1:]))"
+    outputs = {}
+    for workers in (1, 2):
+        argv = ("simulate", "--config", cfg, "--out", f"r{workers}.csv", "--trial-dump", f"t{workers}.csv",
+                "--workers", workers)
+        # two processes whatever the CPUs this test runs on
+        setup = "import seqgap.montecarlo\nseqgap.montecarlo._usable_cpus = lambda: 2\n" if workers == 2 else ""
+        outputs[workers] = _loaded_after(tmp_path, setup + run, *argv, modules=_POOL_ONLY)
+    assert outputs[1] == (0, "exit 0\n[]\n", "")
+    assert outputs[2] == (0, f"exit 0\n{list(_POOL_ONLY)}\n", "")
+    for name in ("r", "t"):
+        assert (tmp_path / f"{name}1.csv").read_bytes() == (tmp_path / f"{name}2.csv").read_bytes()
+    sprt = ("from seqgap.montecarlo import sprt_error_mc\nfrom seqgap.sprt import SprtConfig\n"
+            "print(sprt_error_mc(SprtConfig(0.0, 1.0, 1.0, 0.01, 0.01), 'h1', 300, 11).replications)")
+    assert _loaded_after(tmp_path, sprt, modules=_POOL_ONLY) == (0, "300\n[]\n", "")
 
 
 def test_calibrate_at_ten_million_streams_stays_small(tmp_path):
@@ -737,7 +765,7 @@ def test_summary_and_trial_dump_memory_stays_flat_at_a_million_trials(tmp_path):
     """Beyond the result columns, summarizing and dumping a run hold one slice of trials.
 
     The columns of 10^6 trials are built directly, without a simulation, once all int64 and
-    once in the widths that ``TrialColumns.zeros`` picks for K = 4, each in a fresh interpreter.
+    once in the widths that a run of this config picks, each in a fresh interpreter.
     A whole-run list of per-trial floats (about 32 MB), a whole dump held as one string (about
     20 MB, more as a list of lines) or an int64 copy of the narrow V, W and R columns (24 MB)
     exceeds the bound.
@@ -766,11 +794,13 @@ def test_summary_and_trial_dump_memory_stays_flat_at_a_million_trials(tmp_path):
         "    write_trial_dump(fh, trials)\n"
         "print(len(trials.T), summarized - base, peak() - base)"
     )
-    cfg = write_config(tmp_path, base_config(mc={"replications": 10**6, "master_seed": 1}))
+    doc = base_config(mc={"replications": 10**6, "master_seed": 1})
+    cfg = write_config(tmp_path, doc)
     # a process starts with the peak RSS of the one it was forked from, so the code runs in a
     # grandchild of a small interpreter, not in a child of the test runner
     launch = "import subprocess, sys\nsys.exit(subprocess.run([sys.executable, *sys.argv[1:]]).returncode)"
-    narrow = "".join(column.typecode for column in montecarlo.TrialColumns.zeros(0, 4))
+    horizon = parse_config_dict(doc).spec.resolved_horizon_cap()  # 1000: 'H' stopping times
+    narrow = "".join(column.typecode for column in montecarlo.TrialColumns.zeros(0, 4, horizon))
     for typecodes in ("qqqqq", narrow):
         rc, out, err = _python(tmp_path, launch, "-c", code, cfg, typecodes)
         assert (rc, err) == (0, ""), err

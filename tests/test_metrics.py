@@ -149,6 +149,23 @@ def test_single_trial_aggregation():
     assert est.fwer1.se == 0.0
 
 
+def test_aggregate_reads_any_sequence_of_integers():
+    """Narrow arrays, lists, tuples, numpy arrays and lists of numpy integers give the same
+    estimates, as Python floats, and the same as the reference."""
+    np = pytest.importorskip("numpy")
+    rng, K = random.Random(7), 5
+    R = [rng.randint(0, K) for _ in range(200)] + [0, K]
+    V = [rng.randint(0, r) for r in R]
+    W = [rng.randint(0, K - r) for r in R]
+    expected = reference_metrics(V, W, R, K)
+    for convert in (lambda c: array("B", c), list, tuple, lambda c: np.array(c, dtype=np.int64),
+                    lambda c: np.array(c, dtype=np.uint8), lambda c: [np.int64(x) for x in c]):
+        estimates = aggregate(convert(V), convert(W), convert(R), K)
+        assert estimates == expected
+        for estimate in vars(estimates).values():
+            assert all(type(x) is float for x in (estimate.value, estimate.se) if x is not None)
+
+
 # ------------------------------------------------ slicing
 
 SLICE_SIZES = [1, 2, 3, metrics._SLICE]
@@ -163,8 +180,9 @@ def whole_dump(trials):
 
 
 def widths(K):
-    """Column typecodes: all int64, and the narrower ones that ``TrialColumns.zeros`` picks for K."""
-    return ["qqqqq", "".join(column.typecode for column in TrialColumns.zeros(0, K))]
+    """Column typecodes: all int64, and the narrower ones that a run on K streams picks at a
+    horizon of 10**6 steps, the most that ``trial_columns`` puts in T."""
+    return ["qqqqq", "".join(column.typecode for column in TrialColumns.zeros(0, K, 10**6))]
 
 
 def trial_columns(K, R, pick, typecodes):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import sys
 import time
@@ -90,6 +91,15 @@ def test_seed_streams_disjoint_across_masters():
     a = {derive_trial_seed(2**40, i) for i in range(10**4)}
     b = {derive_trial_seed(2**40 + 1, i) for i in range(10**4)}
     assert not a & b
+
+
+def test_the_normal_stream_is_pinned():
+    """``GENERATOR_ID`` names Philox and the key mix, not numpy's normal sampler, which numpy
+    does not promise to keep across versions: a numpy whose sampler differs fails here, by
+    name, rather than only through the report hashes."""
+    got = [repr(x) for x in trial_generator(0, 0).standard_normal(4).tolist()]
+    assert got == ["0.15929546600623282", "-1.7741885208017214", "1.3265118818830892", "1.2048090979493156"], (
+        f"numpy {np.__version__}: the standard_normal stream of trial_generator(0, 0) is not the pinned one")
 
 
 def _draws(rng):
@@ -282,16 +292,43 @@ def _columns(outcomes, signal_set, K):
 
 @pytest.mark.parametrize("K, width", [(1, "B"), (255, "B"), (256, "H"), (65535, "H"), (65536, "I")])
 def test_count_columns_take_the_narrowest_width_that_holds_K(K, width):
-    columns = TrialColumns.zeros(2, K)
-    assert [column.typecode for column in columns] == ["q", width, width, width, "B"]
+    columns = TrialColumns.zeros(2, K, 10**10)  # a horizon may exceed 2**32
+    assert [column.typecode for column in columns] == ["Q", width, width, width, "B"]
     assert columns == TrialColumns(*(array("q", [0, 0]) for _ in TrialColumns._fields))
-    columns.T[0] = 10**10  # a horizon may exceed 2**32
+    columns.T[0] = 10**10
     for column in (columns.V, columns.W, columns.R):
         column[0] = K
         assert column[0] == K
         with pytest.raises(OverflowError):  # refused, never wrapped
             column[1] = 256 ** column.itemsize
     assert columns.T[0] == 10**10
+
+
+@pytest.mark.parametrize("horizon, width", [
+    (1, "B"), (255, "B"), (256, "H"), (65535, "H"), (65536, "I"), (2**32 - 1, "I"), (10**10, "Q"),
+])
+def test_stopping_times_take_the_narrowest_width_that_holds_the_horizon(horizon, width):
+    columns = TrialColumns.zeros(2, 4, horizon)
+    assert [column.typecode for column in columns] == [width, "B", "B", "B", "B"]
+    assert columns == TrialColumns(*(array("q", [0, 0]) for _ in TrialColumns._fields))
+    columns.T[0] = horizon  # a truncated trial stops at the horizon
+    assert columns.T[0] == horizon
+    for wrong in (256 ** columns.T.itemsize, -1):
+        with pytest.raises(OverflowError):  # refused, never wrapped
+            columns.T[1] = wrong
+    assert columns.T[1] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_runs_stopping_times_take_its_horizons_width(workers):
+    for horizon, width in ((255, "B"), (256, "H")):
+        spec = gap_spec(reps=300, horizon_cap=horizon)
+        summary, trials = run_experiment_with_trials(spec, workers=workers)
+        assert trials.T.typecode == width
+        assert summary == run_experiment_with_trials(spec)[0]
+    make_trial = lambda horizon: montecarlo._sprt_trial(SPRT_CONFIG, "h1", horizon)
+    trials = montecarlo._run_trials(1234, 0, 10, make_trial, 300, frozenset({1}), 1)
+    assert [column.typecode for column in trials] == ["H", "B", "B", "B", "B"]
 
 
 SPRT_CONFIG = SprtConfig(0.0, 1.0, 1.0, 0.01, 0.01)
@@ -323,7 +360,8 @@ def test_trial_result_does_not_depend_on_block_schedule(kind):
     # times; each trial still equals the one run on its own
     trial = make_trial(default_horizon)
     alone = [trial(trial_generator(seed, i), 64) for i in range(reps)]
-    assert montecarlo._run_trials(seed, 0, reps, trial, signal_set, K) == _columns(alone, signal_set, K)
+    columns = montecarlo._run_trials(seed, 0, reps, make_trial, default_horizon, signal_set, K)
+    assert columns == _columns(alone, signal_set, K)
     if kind != "sprt":
         spec = kind_spec(kind, reps)
         reference = [run_trial(spec, i) for i in range(reps)]
@@ -388,7 +426,8 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, processes):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InlinePool)
+    # the pool branch imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     spec = kind_spec("gap", reps=200)
     assert run_experiment_with_trials(spec, workers=workers) == run_experiment_with_trials(spec)
@@ -465,7 +504,7 @@ def _install_pool(monkeypatch, pool_class, fail_here=False):
         record.pool = pool_class(max_workers)
         return record.pool
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", make_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make_pool)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
     monkeypatch.setattr(montecarlo, "_run_trials", recording)
     return record
