@@ -152,15 +152,13 @@ def write_report_json(out: TextIO, rows: Sequence[dict], config_doc: dict, maste
 def write_trial_dump(out: TextIO, trials: TrialColumns) -> None:
     """One CSV line per trial, in ``csv.writer``'s format (no cell needs quoting).
 
-    The lines are built and written one slice of trials at a time, one
-    joined string per slice, so a dump's memory does not grow with the
+    The lines are built one at a time and handed straight to ``out``, so a
+    dump holds no more than one line beyond ``out``'s buffer, whatever the
     number of trials.
     """
-    from .metrics import _slices  # the slice size is the aggregation's
-
     out.write(",".join(TRIAL_DUMP_SCHEMA) + "\n")
-    for part in _slices(range(len(trials.T)), *trials):
-        out.write("".join(f"{i},{t},{v},{w},{r},{_cell(x == 1)}\n" for i, t, v, w, r, x in zip(*part)))
+    lines = zip(range(len(trials.T)), *trials)
+    out.writelines(f"{i},{t},{v},{w},{r},{_cell(x == 1)}\n" for i, t, v, w, r, x in lines)
 
 
 @contextlib.contextmanager

@@ -17,21 +17,23 @@ sample standard errors; the conditional metrics use the ratio-of-sums
 estimator and are reported as undefined (never 0) when no trial qualifies.
 
 Aggregation reads V, W and R entry by entry from any integer sequences,
-copies no column and loads no numpy.  Each float total is one built-in
-``sum`` over the whole trial-ordered stream, never a sum of partial sums:
-the float ``sum`` of CPython 3.12+ is compensated across its whole input.
-A trial's proportion depends only on its (V, R) or (W, R) pair, of which a
-run has few, so each pair is divided once and then looked up.  The trial
-dump reads the columns ``_SLICE`` trials at a time through ``_slices``.
+copies no column and loads no numpy.  Every total is ``_total``, a plain
+left-to-right fold from the int 0 over the trial-ordered stream: the
+built-in ``sum`` of CPython 3.10 and 3.11 adds the same way, but from
+3.12 on it compensates float totals, which would move the last digits of
+a report with the interpreter rather than with the config.  A trial's
+proportion, and its squared deviation from the mean, depend only on its
+(V, R) or (W, R) pair, of which a run has few, so each is computed once
+per pair and then looked up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import countOf, lt
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import reduce
+from operator import add, countOf
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Estimate",
@@ -42,8 +44,7 @@ __all__ = [
     "sample_mean",
 ]
 
-_SLICE = 4096  # trials per slice of the columns
-_QUOTIENTS_KEPT = 4096  # (V, R) or (W, R) pairs kept: all (K + 1)(K + 2) / 2 of them up to K = 89
+_MEMO_KEPT = 4096  # keys kept: all (K + 1)(K + 2) / 2 (V, R) or (W, R) pairs up to K = 89
 
 
 def confusion(rejected: Iterable[int], signal_set: Iterable[int], K: int) -> tuple[int, int, int]:
@@ -89,81 +90,81 @@ def binomial(hits: int, n: int) -> Estimate:
     return Estimate(value=p, se=math.sqrt(p * (1.0 - p) / n))
 
 
+def _total(values: Iterable) -> float | int:
+    """``values`` added left to right to the int 0, as the ``sum`` of CPython 3.10 and 3.11 adds them."""
+    return reduce(add, values, 0)
+
+
 def sample_mean(values: Sequence[float]) -> Estimate:
     """Mean with its sample standard error (0 for a single value).
 
-    ``values`` is iterated twice (the mean, then the variance), so a lazy
-    column that yields the same values on each pass serves as well as a list.
+    ``values`` is iterated twice: the mean, then the variance, in which each
+    distinct value's squared deviation is computed once.
     """
     n = len(values)
-    mean = sum(values) / n
+    mean = _total(values) / n
+    square = _Memo(lambda v: (v - mean) ** 2)
+    return _spread(mean, n, map(square.__getitem__, values))
+
+
+def _spread(mean: float, n: int, squares: Iterable[float]) -> Estimate:
+    """``mean`` of n values, with the sample standard error of their squared deviations ``squares``."""
     if n < 2:
         return Estimate(value=mean, se=0.0)
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = _total(squares) / (n - 1)
     return Estimate(value=mean, se=math.sqrt(var / n))
 
 
-def _slices(*columns: Sequence) -> Iterator[list]:
-    """The columns one slice of ``_SLICE`` trials at a time, in trial order."""
-    for start in range(0, len(columns[0]), _SLICE):
-        yield [column[start : start + _SLICE] for column in columns]
+class _Memo(dict):
+    """``function(*key)`` for a tuple key, else ``function(key)``, as a Python float by key,
+    each computed once; at most ``_MEMO_KEPT`` kept."""
 
+    def __init__(self, function: Callable[..., float]) -> None:
+        self._function = function
 
-class _Floats:
-    """``n`` floats that ``values()`` yields afresh on each of ``sample_mean``'s two passes."""
-
-    def __init__(self, values: Callable[[], Iterator[float]], n: int) -> None:
-        self._values, self._len = values, n
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self) -> Iterator[float]:
-        return self._values()
-
-
-class _Quotients(dict):
-    """``quotient(*key)`` as a Python float by key, each computed once; at most ``_QUOTIENTS_KEPT`` kept."""
-
-    def __init__(self, quotient: Callable[[int, int], float]) -> None:
-        self._quotient = quotient
-
-    def __missing__(self, key: tuple[int, int]) -> float:
-        value = float(self._quotient(*key))  # a Python float even from numpy integers
-        if len(self) < _QUOTIENTS_KEPT:
+    def __missing__(self, key: object) -> float:
+        value = self._function(*key) if type(key) is tuple else self._function(key)
+        value = float(value)  # a Python float even from numpy integers
+        if len(self) < _MEMO_KEPT:
             self[key] = value
         return value
 
 
-def _conditional(values: Iterator[float], n: int) -> Estimate:
-    if n == 0:
-        return Estimate(value=None, se=None, defined=False)
-    return Estimate(value=sum(values) / n, se=None)
+def _proportion(quotient: _Memo, pairs: Callable, n: int, qualifying: int) -> tuple[Estimate, Estimate]:
+    """The sample mean of ``quotient`` over the trials' ``pairs()``, and its conditional mean
+    over the ``qualifying`` trials, those whose quotient can be nonzero: each other trial adds
+    a 0.0, which leaves a float total as it is, so both means share one total."""
+    total = _total(map(quotient.__getitem__, pairs()))
+    mean = total / n
+    square = _Memo(lambda *pair: (quotient[pair] - mean) ** 2)
+    conditional = Estimate(total / qualifying, None) if qualifying else Estimate(None, None, defined=False)
+    return _spread(mean, n, map(square.__getitem__, pairs())), conditional
 
 
 def aggregate(V: Sequence[int], W: Sequence[int], R: Sequence[int], K: int) -> MetricEstimates:
     """Metric estimates from per-trial V, W, R columns on K streams.
 
     Each proportion is Python's ``V / max(R, 1)`` or ``W / max(K - R, 1)``,
-    correctly rounded, and each total is one ``sum`` in the order given:
+    correctly rounded, and each total is one ``_total`` in the order given:
     reordered trials can change FDR, FNR and their conditional forms in the
     last digits, so the harness passes them in trial-index order, which
     keeps reports byte-identical across ``--workers``.  The columns may be
-    any sequences of integers, Python's or numpy's, and are never copied.
+    any sequences of integers, Python's or numpy's, and are never copied:
+    each pass zips them afresh.  They hold what ``confusion`` gives, so
+    V <= R and W <= K - R: a trial with R = 0 has an FDP of 0, and one with
+    R = K an FNP of 0.
     """
     n = len(V)
     if n == 0:
         raise ValueError("cannot aggregate an empty trial collection")
-    fdp = _Quotients(lambda v, r: v / max(r, 1))
-    fnp = _Quotients(lambda w, r: w / max(K - r, 1))
-    fdps = lambda: map(fdp.__getitem__, zip(V, R))
-    fnps = lambda: map(fnp.__getitem__, zip(W, R))
+    fdr, pfdr = _proportion(_Memo(lambda v, r: v / max(r, 1)), lambda: zip(V, R), n, n - countOf(R, 0))
+    fnr, pfnr = _proportion(_Memo(lambda w, r: w / max(K - r, 1)), lambda: zip(W, R), n, n - countOf(R, K))
     return MetricEstimates(
         fwer1=binomial(n - countOf(V, 0), n),
         fwer2=binomial(n - countOf(W, 0), n),
-        pics=binomial(sum(1 for v, w in zip(V, W) if v or w), n),
-        fdr=sample_mean(_Floats(fdps, n)),
-        fnr=sample_mean(_Floats(fnps, n)),
-        pfdr=_conditional(compress(fdps(), R), n - countOf(R, 0)),  # the trials with R >= 1
-        pfnr=_conditional(compress(fnps(), map(lt, R, repeat(K))), n - countOf(R, K)),  # and with R < K
+        pics=binomial(n - countOf(zip(V, W), (0, 0)), n),
+        fdr=fdr,
+        fnr=fnr,
+        pfdr=pfdr,
+        pfnr=pfnr,
     )

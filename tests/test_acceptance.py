@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from reference import gap_statistic, reference_order
+from reference import gap_statistic, reference_order, walk_exact
 from seqgap.cli import main
 from seqgap.model import ModelParams
 from seqgap.montecarlo import (
@@ -164,6 +164,49 @@ def test_criterion_05_sprt_mc_tracks_wald_within_band():
         f"rel={rel:.4f} band=0.15"
     )
     assert rel < 0.15
+
+
+@pytest.mark.parametrize("truth", ["h0", "h1"])
+def test_criterion_05_sprt_mc_tracks_the_exact_walk(truth):
+    """Simulated mean stopping time against the exact one, overshoot included.
+
+    Under h1 the log-likelihood ratio steps N(1/2, 1) between the log-boundaries b and a,
+    and under h0 N(-1/2, 1); ``walk_exact`` solves that walk's mean stopping time and
+    exit probabilities to 1e-9.  The MC mean and error rate lie within 3 se of them.
+    """
+    sym = SprtConfig(0.0, 1.0, 1.0, gamma=0.01, delta=0.01)
+    reps = 2 * 10**4
+    mc = sprt_error_mc(sym, truth, replications=reps, master_seed=7)
+    exact_T, p_lower = walk_exact(sym.b, sym.a, 0.5 if truth == "h1" else -0.5, 1.0)
+    exact_error = p_lower if truth == "h1" else 1.0 - p_lower  # accepting under h1, rejecting under h0
+    z = (mc.mean_T - exact_T) / mc.se_T
+    assert mc.truncation_count == 0
+    assert abs(z) < 3.0
+    assert abs(mc.error_rate - exact_error) < 3.0 * math.sqrt(exact_error * (1.0 - exact_error) / reps)
+    _passed(f"criterion 5 ({truth}, exact)", f"mean_T={mc.mean_T:.4f} exact={exact_T:.6f} z={z:+.2f}")
+
+
+def test_criterion_05_k2_gap_mc_tracks_the_exact_walk():
+    """The K = 2, m = 1 gap rule stops when the pair difference S_1 - S_2, which steps
+    N(mu, 2(1 - rho)), leaves (-G, G).  The MC mean stopping time lies within 3 se of
+    that walk's exact mean, and its selection-error rate within 3 se of the lower exit's."""
+    spec = ExperimentSpec(
+        params=ModelParams(K=2, rho=0.5, mu=1.0, signal_set=frozenset({1})),
+        rule=GapRuleSpec(m=1),
+        alpha=1e-2,
+        beta=1e-2,
+        replications=2 * 10**4,
+        master_seed=7,
+    )
+    G = spec.rule.calibrate(spec.params, spec.alpha, spec.beta).G
+    summary = run_experiment(spec, workers=WORKERS)
+    exact_T, exact_error = walk_exact(-G, G, 1.0, math.sqrt(2.0 * (1.0 - 0.5)))
+    z = (summary.mean_T - exact_T) / summary.se_T
+    assert summary.truncation_count == 0
+    assert abs(z) < 3.0
+    error_se = math.sqrt(exact_error * (1.0 - exact_error) / spec.replications)
+    assert abs(summary.metrics.pics.value - exact_error) < 3.0 * error_se
+    _passed("criterion 5 (K=2 gap, exact)", f"mean_T={summary.mean_T:.5f} exact={exact_T:.6f} z={z:+.2f}")
 
 
 def test_criterion_06_single_pair_benchmark():

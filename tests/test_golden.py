@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from reference import compensated_sum
 from seqgap.cli import main
 from seqgap.montecarlo import sprt_error_mc
 from seqgap.sprt import SprtConfig
@@ -134,3 +135,28 @@ def test_sprt_estimates_are_pinned(args, pinned):
     got = dataclasses.asdict(sprt_error_mc(*args))
     assert got == pinned
     assert all(type(got[k]) is type(v) for k, v in pinned.items())
+
+
+def test_compensated_sum_emulates_the_newer_builtin():
+    assert compensated_sum([0.1] * 10) == 1.0  # a plain left-to-right total gives 0.9999999999999999
+    assert compensated_sum([1e100, 1.0, -1e100]) == 1.0
+    assert compensated_sum([2**70, 1, 3]) == 2**70 + 4
+    assert type(compensated_sum([1, 2])) is int
+
+
+@pytest.fixture
+def compensated_metrics_sum(monkeypatch):
+    """``metrics`` sees a built-in ``sum`` that compensates float totals, as CPython 3.12's does."""
+    monkeypatch.setattr("seqgap.metrics.sum", compensated_sum, raising=False)
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_report_bytes_do_not_depend_on_how_sum_adds_floats(tmp_path, compensated_metrics_sum, kind):
+    out_csv = tmp_path / "r.csv"
+    assert main(["simulate", "--config", _write_config(tmp_path, kind), "--out", str(out_csv)]) == 0
+    assert _sha256(out_csv.read_bytes()) == PINS[kind][1]
+
+
+@pytest.mark.parametrize("args, pinned", SPRT_PINS, ids=["h0", "h1", "one-sided", "truncated"])
+def test_sprt_estimates_do_not_depend_on_how_sum_adds_floats(compensated_metrics_sum, args, pinned):
+    assert dataclasses.asdict(sprt_error_mc(*args)) == pinned

@@ -6,7 +6,9 @@ from itertools import accumulate
 import pytest
 from hypothesis import example, given, strategies as st
 
+from reference import walk_exact
 from seqgap.montecarlo import sprt_error_mc
+from seqgap.rules import calibrate_gap
 from seqgap.sprt import (
     ACCEPT_H0,
     REJECT_H0,
@@ -254,6 +256,36 @@ def test_wald_approaches_asymptote_at_small_levels():
         cfg = SprtConfig(0.0, 1.0, 1.0, gamma=level, delta=level)
         ratio = asn_wald(cfg, "h1") / asn_asymptotic(cfg)
         assert abs(ratio - 1.0) < band
+
+
+SYMMETRIC = SprtConfig(0.0, 1.0, 1.0, gamma=0.01, delta=0.01)
+K2_GAP_G = calibrate_gap(1, 2, 0.01, 0.01, 0.5, 1.0).G  # m = 1 of K = 2 at rho 0.5, mu 1
+# (lo, hi, drift, sd) of the SPRT's log-likelihood ratio under h1 (one N(1, 1) observation
+# adds x - 1/2) and of the K = 2 gap rule's pair difference S_1 - S_2 (variance 2(1 - rho))
+WALKS = {"sprt": (SYMMETRIC.b, SYMMETRIC.a, 0.5, 1.0), "gap-k2": (-K2_GAP_G, K2_GAP_G, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_walk_exact_converges_in_the_nodes(walk):
+    assert walk_exact(*WALKS[walk], nodes=50) == pytest.approx(walk_exact(*WALKS[walk], nodes=400), abs=1e-9)
+
+
+def test_walk_exact_sprt_values():
+    mean_T, p_accept = walk_exact(*WALKS["sprt"])
+    assert mean_T == pytest.approx(10.509286, abs=1e-6)
+    assert p_accept == pytest.approx(0.0056285, abs=1e-7)
+    assert mean_T > asn_wald(SYMMETRIC, "h1") + 1.0  # Wald's formula drops the overshoot
+    lo, hi, drift, sd = WALKS["sprt"]
+    mean_T_h0, p_accept_h0 = walk_exact(lo, hi, -drift, sd)  # the mirror walk under h0
+    assert mean_T_h0 == pytest.approx(mean_T, abs=1e-9)
+    assert 1.0 - p_accept_h0 == pytest.approx(p_accept, abs=1e-9)
+
+
+def test_walk_exact_k2_gap_values():
+    assert K2_GAP_G == pytest.approx(2.302585, abs=1e-6)
+    mean_T, p_error = walk_exact(*WALKS["gap-k2"])
+    assert mean_T == pytest.approx(3.154338, abs=1e-6)
+    assert p_error == pytest.approx(3.2133e-3, abs=1e-7)
 
 
 def test_mc_error_control_and_sample_size():
