@@ -10,12 +10,11 @@ object).  Every report embeds the tool version, generator id, master seed
 and the resolved config, and contains no timestamps, so reruns are
 bit-identical.  Exit codes: 0 ok, 1 usage or config error, 2 experiment
 completed but unreliable (too many truncated trials), 3 I/O or worker
-failure.
+failure, 130 interrupted (SIGINT).
 
 ``calibrate``, ``sprt-asn`` and a config error load no numpy and no OpenSSL
 (``_hashlib``): the engine (``seqgap.montecarlo``) is imported by ``simulate``
-and ``sweep`` alone, and ``hashlib`` by ``experiment_id`` alone.  No command
-imports ``concurrent.futures`` here: only a run that starts a pool loads it.
+and ``sweep`` alone, and ``hashlib`` by ``experiment_id`` alone.
 """
 
 from __future__ import annotations
@@ -344,17 +343,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "workers", 1) < 1:
             raise ConfigError("--workers must be >= 1")
         return args.fn(args)
+    except KeyboardInterrupt:  # the run's workers are killed, and no output is left behind
+        print("interrupted", file=sys.stderr)
+        return 130
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ChildProcessError as exc:  # a worker's pipe broke: it names the worker's pid and exit code
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
-        # a broken pool (BrokenProcessPool) can only come from a run that loaded its module
-        if not isinstance(exc, getattr(sys.modules.get("concurrent.futures"), "BrokenExecutor", ())):
-            raise
-        print(f"error: a worker process died: {exc}", file=sys.stderr)
         return 3
 
 

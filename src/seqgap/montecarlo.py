@@ -16,11 +16,10 @@ trial-index order, 6 B per trial for K < 256 and a horizon below 65536,
 which are all the summary, the SPRT's error rate and the trial dump read.
 
 ``workers=N`` runs on at most N processes, this one included: it runs
-chunks itself beside a pool of N - 1 workers, and both draw chunk starts
-from one dispenser.  Chunks are sized for N processes, and each chunk's
-columns land by trial index, so the results are those of a serial run.
-Only a run that starts a pool imports ``concurrent.futures``, and with it
-``multiprocessing``'s pipes and ``logging``: a single-process run loads none.
+chunks itself beside N - 1 forked workers, which it feeds chunk starts
+over pipes.  Chunks are sized for N processes, and each chunk's columns
+land by trial index, so the results are those of a serial run.  Only a
+run that forks workers imports ``multiprocessing``; none starts a thread.
 
 A trial returns ``(stopping_time, rejected)``, with ``rejected`` None when
 the horizon cap cut it off; ``run_trial`` returns that pair as a
@@ -35,9 +34,9 @@ exact.  Over 5% truncations flag an experiment unreliable.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import threading
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -61,7 +60,8 @@ from .rules import GapRuleSpec, GiRuleSpec, MaxGapRuleSpec, RuleSpec
 from .sprt import REJECT_H0, SprtConfig, asn_asymptotic, run_sprt
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "GENERATOR_ID",
@@ -255,39 +255,64 @@ def _run_chunk(spec: ExperimentSpec, start: int, stop: int) -> TrialColumns:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The CPUs this process may run on; 1 where it cannot fork workers, so that runs stay serial."""
+    if not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _serve(spec: ExperimentSpec, chunk: int, n: int, conn: Connection) -> None:
+    """A worker: send back each chunk start received with the chunk's columns, or with the exception
+    that it raised and then run no more; stop at ``None`` or once the invoking process has gone."""
+    with contextlib.suppress(EOFError, ConnectionError):  # a broken pipe: the invoking process has gone
+        while (start := conn.recv()) is not None:
+            try:
+                conn.send((start, _run_chunk(spec, start, min(start + chunk, n))))
+            except Exception as exc:  # re-raised by the invoking process, which then kills this one
+                conn.send((start, exc))
+                while True:  # keep the pipe open, so that no send to it fails
+                    conn.recv()
+
+
+def _start_worker(spec: ExperimentSpec, chunk: int, n: int) -> tuple[Connection, BaseProcess]:
+    """Fork a worker that serves ``spec``'s chunks; return this process's end of its pipe, and the worker."""
+    import signal
+    from multiprocessing import get_context, util
+    from multiprocessing.connection import Connection, Pipe
+
+    import numpy.random  # noqa: F401  # loaded before the fork, so that the worker shares its pages
+
+    here, there = Pipe()
+    util.register_after_fork(here, Connection.close)  # closed in every worker: it breaks when this process dies
+    # fork whatever the default start method: the worker gets ``spec`` unpickled and runs the after-fork hooks
+    process = get_context("fork").Process(target=_serve, args=(spec, chunk, n, there), daemon=True)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # inherited: this process kills the worker
+    try:
+        process.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    there.close()
+    return here, process
 
 
 def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     """All trials as columns, on at most ``workers`` processes, this one included.
 
-    The pool is topped up from its futures' done-callbacks so that each
-    worker has a chunk queued.  An error here or a failed pool chunk
-    empties the dispenser, so that only the chunks already in flight run on.
+    Each of the N - 1 workers has a pipe of its own, which breaks only when it dies, and two chunk
+    starts in flight, one running and one queued, so that it starts its next chunk without waiting
+    for this process to end one.  This process hands out the starts, lowest first, and after each
+    of its own chunks takes back the results ready and refills each worker that sent one.  On
+    ``gi-k10-parallel`` at 2 CPUs that read 11.47k trials/s against 11.34k for a pool refilled from
+    its futures' callbacks (10 alternating pairs, 5 faster; the pool's quartiles 10.83k-11.89k).
+    A failed chunk, a dead worker or an interrupt ends the run, and every exit kills the workers.
 
-    Two simpler designs were measured and dropped.  Taking a queued chunk
-    back with ``Future.cancel()`` breaks dead-worker handling: on CPython
-    3.11 a killed worker makes the pool call ``set_exception`` on cancelled
-    futures still pending, which raises ``InvalidStateError`` in its
-    manager thread.  Refilling the pool from this process between its own
-    chunks needs no lock, but then a worker's queue is refilled only when
-    this process ends a chunk: on the ``gi-k10-parallel`` config at two
-    workers on 2 CPUs it was slower in 6 of 8 pairs (median 1.18 s against
-    1.07 s).
-
-    This process runs its chunks through ``_run_trials``, not through
-    ``_run_chunk``, the pool's entry point: the dead-worker tests patch
-    ``_run_chunk`` to kill the process that runs it, so this process would
-    kill itself, and leave a forked worker blocked forever on its call-queue pipe.
+    This process runs its chunks through ``_run_trials``, not through ``_run_chunk``, the workers'
+    entry point: the dead-worker tests patch ``_run_chunk`` to kill the process that runs it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n = spec.replications
-    # a pool starts all its processes at the first submit: start no more
-    # than there are CPUs to run them on or chunks to give them
+    # start no more processes than there are CPUs to run them on or chunks to give them
     workers = min(workers, _usable_cpus())
     # many small chunks keep every process busy until the last ones finish
     chunk = max(_BLOCK, math.ceil(n / (_CHUNKS_PER_WORKER * workers)))
@@ -296,55 +321,45 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     if workers == 1 or n < 2 * _BLOCK:
         return _run_chunk(spec, 0, n)
 
+    from multiprocessing.connection import wait
+
     horizon = spec.resolved_horizon_cap()
-    pending = list(reversed(starts))  # popped from the end: lowest start first
-    lock = threading.Lock()  # a start is popped and its future listed in one step
-    submitted: list[tuple[int, Future[TrialColumns]]] = []
     columns = TrialColumns.zeros(n, spec.params.K, horizon)
+    dispenser, placed = iter(starts), []
+    pool: dict[Connection, BaseProcess] = {}  # each worker by this process's end of its pipe
 
-    def take() -> int | None:
-        with lock:
-            return pending.pop() if pending else None
-
-    def feed(pool: ProcessPoolExecutor) -> None:
-        with lock:
-            if not pending:
-                return
-            s = pending.pop()
-            future = pool.submit(_run_chunk, spec, s, min(s + chunk, n))
-            submitted.append((s, future))
-        # outside the lock: a future done already runs the callback at once
-        future.add_done_callback(lambda done: feed(pool) if done.exception() is None else stop())
-
-    def stop() -> None:
-        with lock:
-            pending.clear()
-
-    def place(s: int, part: TrialColumns) -> None:
+    def place(s: int, part: TrialColumns | Exception) -> None:
+        if isinstance(part, Exception):
+            raise part
         # a slice assignment needs equal typecodes: both sides come from zeros(_, K, horizon)
         for column, values in zip(columns, part):
             column[s:s + len(values)] = values
+        placed.append(s)
 
-    # the workers fork at the first submit: with the pool's modules and numpy.random (and the
-    # OpenSSL that it loads) loaded first, they share those pages rather than each loading its own
-    from concurrent.futures import ProcessPoolExecutor
-
-    import numpy.random  # noqa: F401
-
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        # the pool's __exit__ waits for every submitted chunk: on an error,
-        # submit no more of them
-        try:
-            for _ in range(2 * (workers - 1)):  # one running and one queued per worker
-                feed(pool)
-            while (s := take()) is not None:
+    try:  # every pipe operation below is on ``conn``
+        for _ in range(workers - 1):
+            conn, pool[conn] = _start_worker(spec, chunk, n)
+        for conn, first in zip([*pool] * 2, dispenser):
+            conn.send(first)
+        while len(placed) < len(starts):  # a chunk here while any is left, then the results ready
+            if (s := next(dispenser, None)) is not None:
                 place(s, _run_trials(spec.master_seed, s, min(s + chunk, n), partial(_rule_trial, spec),
                                      horizon, spec.params.signal_set, spec.params.K))
-            # every start is taken, so no more futures are listed
-            for s, future in submitted:
-                place(s, future.result())
-        finally:
-            stop()
+            for conn in wait(list(pool), None if s is None else 0):
+                place(*conn.recv())
+                if (more := next(dispenser, None)) is not None:
+                    conn.send(more)
+        for conn, process in pool.items():  # a worker that ends by itself runs its exit hooks
+            conn.send(None)
+            process.join()
+    except (EOFError, ConnectionError):  # a broken pipe: its worker has gone
+        pool[conn].join()
+        raise ChildProcessError(f"pid {pool[conn].pid}, exit code {pool[conn].exitcode}") from None
+    finally:
+        for conn, process in pool.items():
+            process.kill()  # a worker already joined is left as it is
+            conn.close()
+            process.join()
     return columns
 
 

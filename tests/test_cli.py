@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import importlib
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -514,6 +517,116 @@ def test_a_worker_killed_mid_run_is_one_line_and_exit_3(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_a_worker_gone_before_a_send_is_one_line_and_exit_3(tmp_path):
+    """A worker that dies when it takes up its second chunk start, after it has sent back its
+    first result: this process takes that result back, and its next send meets a closed pipe."""
+    cfg = write_config(tmp_path, base_config())
+    code = (
+        "import multiprocessing, os, signal, sys, time\n"
+        "import seqgap.montecarlo as montecarlo\n"
+        "from seqgap.cli import main\n"
+        "run_chunk, run_trials, taken = montecarlo._run_chunk, montecarlo._run_trials, []\n"
+        "def die_at_the_second_start(spec, start, stop):\n"
+        "    taken.append(start)\n"
+        "    if len(taken) == 2:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return run_chunk(spec, start, stop)\n"
+        "def once_the_worker_is_gone(*args):\n"
+        "    while multiprocessing.active_children():\n"
+        "        time.sleep(0.01)\n"
+        "    return run_trials(*args)\n"
+        "montecarlo._run_chunk = die_at_the_second_start\n"
+        "montecarlo._run_trials = once_the_worker_is_gone\n"
+        "montecarlo._usable_cpus = lambda: 2\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    rc, out, err = _python(tmp_path, code, "simulate", "--config", cfg, "--out", "r.csv",
+                           "--trial-dump", "t.csv", "--reps", 4000, "--workers", 2)
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: a worker process died: pid ") and err.endswith(", exit code -9\n"), err
+    assert err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_ctrl_c_is_one_line_exit_130_and_leaves_no_process(tmp_path):
+    """SIGINT to the process group of a ``--workers 2`` run, sent by this process at its second
+    chunk: one ``interrupted`` line, exit 130, no worker left in the group and no output.  This
+    process takes the signal half a second after the workers, so that a worker that does not
+    ignore it has the time to print its own traceback."""
+    cfg = write_config(tmp_path, base_config())
+    code = (
+        "import os, signal, sys, time\n"
+        "os.setpgrp()\n"  # a group of its own, with the workers that it forks
+        "print(os.getpid(), flush=True)\n"
+        "import seqgap.montecarlo as montecarlo\n"
+        "from seqgap.cli import main\n"
+        "run_trials, calls, here = montecarlo._run_trials, [], os.getpid()\n"
+        "def interrupt_at_the_second(*args):\n"  # the workers' chunks run through it too
+        "    calls.append(args[1])\n"
+        "    if len(calls) == 2 and os.getpid() == here:\n"
+        "        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})\n"
+        "        os.killpg(0, signal.SIGINT)\n"
+        "        time.sleep(0.5)\n"
+        "        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})\n"
+        "    return run_trials(*args)\n"
+        "montecarlo._run_trials = interrupt_at_the_second\n"
+        "montecarlo._usable_cpus = lambda: 2\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    rc, out, err = _python(tmp_path, code, "simulate", "--config", cfg, "--out", "r.csv",
+                           "--trial-dump", "t.csv", "--reps", 4000, "--workers", 2)
+    assert (rc, err) == (130, "interrupted\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(int(out), 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def _gone(pid):
+    """True once ``pid`` has exited: no such process, or a zombie that its new parent never reaps."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+def test_the_workers_exit_when_this_process_is_killed(tmp_path):
+    """SIGKILL to a ``--workers 3`` run at its second chunk, which leaves it no way to stop its
+    workers: they hold no end of its pipes, so their pipes break and they exit by themselves."""
+    cfg = write_config(tmp_path, base_config())
+    code = (
+        "import multiprocessing, os, signal, sys\n"
+        "os.setpgrp()\n"  # a group of its own, with the workers that it forks
+        "open('pgid', 'w').write(str(os.getpid()))\n"
+        "import seqgap.montecarlo as montecarlo\n"
+        "from seqgap.cli import main\n"
+        "run_trials, calls, here = montecarlo._run_trials, [], os.getpid()\n"
+        "def die_at_the_second(*args):\n"  # the workers' chunks run through it too
+        "    calls.append(args[1])\n"
+        "    if len(calls) == 2 and os.getpid() == here:\n"
+        "        print(*(child.pid for child in multiprocessing.active_children()), flush=True)\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return run_trials(*args)\n"
+        "montecarlo._run_trials = die_at_the_second\n"
+        "montecarlo._usable_cpus = lambda: 3\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    try:  # the workers hold the run's stdout: this returns once they close it, as they exit
+        rc, out, err = _python(tmp_path, code, "simulate", "--config", cfg, "--out", "r.csv",
+                               "--reps", 4000, "--workers", 3)
+        assert (rc, err) == (-signal.SIGKILL, "")
+        workers = [int(pid) for pid in out.split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10
+        while not all(map(_gone, workers)):
+            assert time.monotonic() < deadline, [pid for pid in workers if not _gone(pid)]
+            time.sleep(0.01)
+    finally:  # a worker that outlives the run would outlive the test
+        with contextlib.suppress(FileNotFoundError, ProcessLookupError):
+            os.killpg(int((tmp_path / "pgid").read_text()), signal.SIGKILL)
+
+
 def _refuse_to_run(*args, **kwargs):
     raise AssertionError("the run started although an output cannot be written")
 
@@ -692,15 +805,16 @@ def test_the_spec_layer_and_the_trial_free_commands_load_no_numpy(tmp_path):
     assert (code, "'numpy'" in out, err) == (0, True, "")
 
 
-# Modules that only a run that starts a process pool may load.
-_POOL_ONLY = ("concurrent.futures", "concurrent.futures.process", "multiprocessing",
-              "multiprocessing.connection", "logging", "queue")
+# Modules that only a run that starts worker processes may load: the pipes' stack.  Nothing loads
+# the executor's (``concurrent.futures``, with ``logging`` and ``queue``) at any worker count.
+_POOL_ONLY = ("multiprocessing", "multiprocessing.connection")
+_EXECUTOR = ("concurrent.futures", "concurrent.futures.process", "logging", "queue")
 
 
 def test_only_a_run_that_starts_a_pool_loads_the_pool_stack(tmp_path):
     """A single-process ``simulate`` with a trial dump and an ``sprt_error_mc`` call load no
-    ``concurrent.futures``, ``multiprocessing`` or ``logging``; a ``--workers 2`` run loads the
-    pool, and writes the same bytes."""
+    ``multiprocessing``; a ``--workers 2`` run loads its pipes, and writes the same bytes.  No run
+    loads ``concurrent.futures``, ``logging`` or ``queue``."""
     cfg = write_config(tmp_path, base_config(mc={"replications": 300, "master_seed": 2024}))
     run = "from seqgap.cli import main\nprint('exit', main(sys.argv[1:]))"
     outputs = {}
@@ -709,14 +823,14 @@ def test_only_a_run_that_starts_a_pool_loads_the_pool_stack(tmp_path):
                 "--workers", workers)
         # two processes whatever the CPUs this test runs on
         setup = "import seqgap.montecarlo\nseqgap.montecarlo._usable_cpus = lambda: 2\n" if workers == 2 else ""
-        outputs[workers] = _loaded_after(tmp_path, setup + run, *argv, modules=_POOL_ONLY)
+        outputs[workers] = _loaded_after(tmp_path, setup + run, *argv, modules=_POOL_ONLY + _EXECUTOR)
     assert outputs[1] == (0, "exit 0\n[]\n", "")
     assert outputs[2] == (0, f"exit 0\n{list(_POOL_ONLY)}\n", "")
     for name in ("r", "t"):
         assert (tmp_path / f"{name}1.csv").read_bytes() == (tmp_path / f"{name}2.csv").read_bytes()
     sprt = ("from seqgap.montecarlo import sprt_error_mc\nfrom seqgap.sprt import SprtConfig\n"
             "print(sprt_error_mc(SprtConfig(0.0, 1.0, 1.0, 0.01, 0.01), 'h1', 300, 11).replications)")
-    assert _loaded_after(tmp_path, sprt, modules=_POOL_ONLY) == (0, "300\n[]\n", "")
+    assert _loaded_after(tmp_path, sprt, modules=_POOL_ONLY + _EXECUTOR) == (0, "300\n[]\n", "")
 
 
 def test_calibrate_at_ten_million_streams_stays_small(tmp_path):

@@ -1,9 +1,10 @@
-import concurrent.futures
 import math
+import os
 import sys
+import threading
 import time
 from array import array
-from concurrent.futures import Future, ThreadPoolExecutor
+from multiprocessing.connection import Pipe
 from types import SimpleNamespace
 
 import numpy as np
@@ -393,11 +394,111 @@ def test_experiment_is_deterministic():
 
 
 @pytest.mark.parametrize("kind", sorted(RULE_KINDS))
-def test_parallel_equals_serial(kind):
+def test_parallel_equals_serial(monkeypatch, kind):
     spec = kind_spec(kind, reps=300)  # at least 2 * _BLOCK, or the run stays serial
     serial = run_experiment_with_trials(spec, workers=1)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)  # three processes whatever the CPUs
     for workers in (2, 3):
         assert run_experiment_with_trials(spec, workers=workers) == serial
+
+
+def test_an_error_in_a_worker_chunk_is_raised_here(monkeypatch):
+    """A forked worker's second chunk fails while this process runs its first, slowly: the worker
+    has sent back its first result and the failure by the time this process refills it, and
+    that send must not meet a closed pipe.  The failure is raised here with its type and message."""
+    run_chunk, run_trials, here = montecarlo._run_chunk, montecarlo._run_trials, os.getpid()
+
+    def fail_the_second(spec, start, stop):
+        if start == 64:
+            raise ValueError(f"chunk {start} failed in a worker")
+        return run_chunk(spec, start, stop)
+
+    def slowly_here(*args):
+        if os.getpid() == here:
+            time.sleep(0.5)
+        return run_trials(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", fail_the_second)  # the forked worker's entry point
+    monkeypatch.setattr(montecarlo, "_run_trials", slowly_here)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match=r"^chunk 64 failed in a worker$"):
+        run_experiment_with_trials(kind_spec("gap", reps=700), workers=2)
+
+
+class ThreadWorker:
+    """A stand-in worker: ``_serve`` on a thread of this process, over a real pipe.
+
+    It is both this process's end of the pipe, which logs the chunk starts sent on it, and the
+    worker: a thread cannot be killed, so ``kill`` does nothing, and the thread stops once this
+    process closes its end, after the chunk it is running."""
+
+    def __init__(self, spec, chunk, n, sent):
+        self.pipe, there = Pipe()
+        self.sent = sent
+        self.thread = threading.Thread(target=self._serve, args=(spec, chunk, n, there))
+        self.thread.start()
+        self.pid, self.exitcode = self.thread.native_id, None
+
+    @staticmethod
+    def _serve(spec, chunk, n, there):
+        with there:
+            montecarlo._serve(spec, chunk, n, there)
+
+    def fileno(self):
+        return self.pipe.fileno()
+
+    def send(self, start):
+        if start is not None:
+            self.sent.append(start)
+        self.pipe.send(start)
+
+    def recv(self):
+        return self.pipe.recv()
+
+    def close(self):
+        self.pipe.close()
+
+    def kill(self):
+        pass
+
+    def join(self):
+        self.thread.join(timeout=60)
+        assert not self.thread.is_alive()
+
+
+def _install_workers(monkeypatch, cpus=64, fail_here=False, fail_there=False, settle=None):
+    """Run chunks beside thread workers at up to ``cpus`` CPUs.  The record lists the workers,
+    the chunk starts sent to them, and the starts run in all, on the workers' threads and in
+    this process; ``fail_here`` and ``fail_there`` make the chunks run there fail, and
+    ``settle(record)`` runs in this process before each of its chunks."""
+    record = SimpleNamespace(workers=[], sent=[], run=[], here=[], there=[])
+    run_trials = montecarlo._run_trials
+
+    def recording(master_seed, start, stop, *rest):
+        here = threading.current_thread() is threading.main_thread()
+        record.run.append(start)
+        (record.here if here else record.there).append(start)
+        if here and settle is not None:
+            settle(record)
+        if fail_here if here else fail_there:
+            raise RuntimeError(f"chunk {start} failed")
+        return run_trials(master_seed, start, stop, *rest)
+
+    def start_worker(spec, chunk, n):
+        record.workers.append(ThreadWorker(spec, chunk, n, record.sent))
+        return record.workers[-1], record.workers[-1]
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(montecarlo, "_run_trials", recording)
+    monkeypatch.setattr(montecarlo, "_start_worker", start_worker)
+    return record
+
+
+def _until(condition):
+    deadline = time.monotonic() + 60
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
 
 
 @pytest.mark.parametrize("workers, cpus, processes", [
@@ -407,156 +508,62 @@ def test_parallel_equals_serial(kind):
     (3, 1, 1),
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, processes):
-    sizes = []
-
-    class InlinePool:
-        """Records ``max_workers`` and runs each chunk on submit, in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    # the pool branch imports the pool class from concurrent.futures when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     spec = kind_spec("gap", reps=200)
-    assert run_experiment_with_trials(spec, workers=workers) == run_experiment_with_trials(spec)
-    # this process runs chunks too: the pool has one process fewer, and none is started for one
-    assert sizes == ([processes - 1] if processes > 1 else [])
-
-
-class LazyPool:
-    """A stand-in pool whose chunks run in this process, each only when its
-    result is asked for; leaving it runs every chunk still pending, as
-    ``ProcessPoolExecutor.__exit__`` waits for them."""
-
-    def __init__(self, max_workers):
-        self.submitted = []  # chunk starts, in submission order
-        self.futures = []
-        self.running = None  # the start of the chunk running for the pool
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        for future in self.futures:  # a done-callback may append more
-            future.run()
-        return False
-
-    def submit(self, fn, spec, start, stop):
-        pool = self
-
-        class LazyFuture(Future):
-            def run(self):
-                if not self.done():
-                    pool.running = start
-                    try:
-                        self.set_result(fn(spec, start, stop))
-                    except Exception as exc:
-                        self.set_exception(exc)
-                    pool.running = None
-
-            def result(self, timeout=None):
-                self.run()
-                return super().result(timeout)
-
-        self.submitted.append(start)
-        self.futures.append(LazyFuture())
-        return self.futures[-1]
-
-
-class FailingPool(LazyPool):
-    """A stand-in pool whose every chunk has failed by the time it is submitted."""
-
-    def submit(self, fn, spec, start, stop):
-        self.submitted.append(start)
-        future = Future()
-        future.set_exception(RuntimeError(f"chunk {start} failed"))
-        return future
-
-
-def _install_pool(monkeypatch, pool_class, fail_here=False):
-    """Run chunks on a stand-in pool at up to 64 CPUs.  The record lists the
-    chunk starts run in all and those this process ran itself, outside the
-    pool; with ``fail_here`` those raise."""
-    record = SimpleNamespace(pool=None, run=[], here=[])
-    run_trials = montecarlo._run_trials
-
-    def recording(master_seed, start, stop, *rest):
-        record.run.append(start)
-        if record.pool.running != start:
-            record.here.append(start)
-            if fail_here:
-                raise RuntimeError(f"chunk {start} failed")
-        return run_trials(master_seed, start, stop, *rest)
-
-    def make_pool(max_workers):
-        record.pool = pool_class(max_workers)
-        return record.pool
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make_pool)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
-    monkeypatch.setattr(montecarlo, "_run_trials", recording)
-    return record
+    serial = run_experiment_with_trials(spec)
+    record = _install_workers(monkeypatch, cpus=cpus)
+    assert run_experiment_with_trials(spec, workers=workers) == serial
+    # this process runs chunks too: one worker fewer is started, and none for one process
+    assert len(record.workers) == processes - 1
+    assert sorted(record.run) == list(range(0, 200, 64 if processes > 1 else 200))
 
 
 @pytest.mark.parametrize("kind", sorted(RULE_KINDS))
 def test_this_process_runs_chunks_beside_the_pool(monkeypatch, kind):
     spec = kind_spec(kind, reps=700)  # 11 chunks of at most 64
     serial = run_experiment_with_trials(spec)
-    record = _install_pool(monkeypatch, LazyPool)
+    record = _install_workers(monkeypatch)
     assert run_experiment_with_trials(spec, workers=3) == serial
+    assert len(record.workers) == 2
     assert sorted(record.run) == list(range(0, 700, 64))  # every chunk exactly once
     assert record.here  # this process ran chunks itself
-    assert sorted(record.pool.submitted + record.here) == sorted(record.run)
+    assert sorted(record.sent) == sorted(record.there)  # the workers ran what they were sent
+    assert sorted(record.sent + record.here) == sorted(record.run)
+    assert not any(worker.thread.is_alive() for worker in record.workers)
 
 
 def test_a_chunk_failing_here_propagates_and_submits_no_more(monkeypatch):
-    record = _install_pool(monkeypatch, LazyPool, fail_here=True)
-    # the pool's two workers get a running and a queued chunk each; this
-    # process takes the fifth chunk and fails
+    # before it fails, this process waits until the workers have taken up every chunk sent to them
+    record = _install_workers(monkeypatch, fail_here=True, settle=lambda record: _until(lambda: len(record.there) == 4))
+    # the two workers get a running and a queued chunk each; this process
+    # takes the fifth chunk and fails
     with pytest.raises(RuntimeError, match="chunk 256 failed"):
         run_experiment_with_trials(kind_spec("gap", reps=700), workers=3)
-    # leaving the pool ran the submitted chunks, and their callbacks found no more
-    assert record.pool.submitted == [0, 64, 128, 192]
+    # the workers were stopped, and nothing more was handed out
+    assert record.sent == [0, 64, 128, 192]
     assert sorted(record.run) == [0, 64, 128, 192, 256]
+    assert not any(worker.thread.is_alive() for worker in record.workers)
 
 
 def test_a_failed_pool_chunk_stops_this_process(monkeypatch):
-    record = _install_pool(monkeypatch, FailingPool)
-    with pytest.raises(RuntimeError, match="chunk 0 failed"):
+    # before its first chunk, this process waits until both workers have sent back a failure
+    settle = lambda record: _until(lambda: all(worker.pipe.poll() for worker in record.workers))
+    record = _install_workers(monkeypatch, fail_there=True, settle=settle)
+    with pytest.raises(RuntimeError, match="^chunk 0 failed$"):  # the first worker's pipe is polled first
         run_experiment_with_trials(kind_spec("gap", reps=700), workers=3)
-    # the first failure empties the dispenser: nothing more is handed out
-    assert record.pool.submitted == [0]
-    assert record.run == []
+    # the first failure taken back ends the run: nothing more is handed out, this process runs
+    # no chunk after the one it was in, and a worker runs no chunk after a failed one
+    assert record.sent == [0, 64, 128, 192]
+    assert record.here == [256]
+    assert sorted(record.there) == [0, 64]
+    assert not any(worker.thread.is_alive() for worker in record.workers)
 
 
 def test_every_chunk_runs_once_under_threads(monkeypatch):
-    """Threads in place of pool processes, more of them than cores, and a
+    """Threads in place of worker processes, more of them than cores, and a
     short switch interval: the dispenser hands out each chunk once."""
     spec = kind_spec("gap", reps=2000)  # 32 chunks of at most 64
     serial = run_experiment_with_trials(spec)
-
-    class SlowSubmitPool(ThreadPoolExecutor):
-        """Yields to the other threads between taking a chunk and listing its future."""
-
-        running = None  # the record does not tell the pool's chunks apart
-
-        def submit(self, *args):
-            time.sleep(0.02)
-            return super().submit(*args)
-
-    record = _install_pool(monkeypatch, SlowSubmitPool)
+    record = _install_workers(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -564,7 +571,10 @@ def test_every_chunk_runs_once_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+    assert len(record.workers) == 5
     assert sorted(record.run) == list(range(0, 2000, 64))
+    assert sorted(record.sent + record.here) == sorted(record.run)
+    assert not any(worker.thread.is_alive() for worker in record.workers)
 
 
 def test_experiment_summary_contents():

@@ -281,6 +281,19 @@ def test_walk_exact_sprt_values():
     assert 1.0 - p_accept_h0 == pytest.approx(p_accept, abs=1e-9)
 
 
+def test_walk_exact_exceeds_wald_by_a_constant_overshoot():
+    """As the boundaries grow, E[T] minus Wald's approximation, which drops the overshoot of
+    the upper boundary, falls to a constant: the mean overshoot over the drift."""
+    excess = []
+    for level in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10):
+        cfg = SprtConfig(0.0, 1.0, 1.0, gamma=level, delta=level)
+        excess.append(walk_exact(cfg.b, cfg.a, 0.5, 1.0)[0] - asn_wald(cfg, "h1"))
+    assert all(wider < narrower for narrower, wider in zip(excess, excess[1:]))
+    assert excess[-1] == pytest.approx(excess[-2], abs=1e-6)
+    assert excess[0] == pytest.approx(1.502852, abs=1e-6)
+    assert excess[-1] == pytest.approx(1.435875, abs=1e-6)
+
+
 def test_walk_exact_k2_gap_values():
     assert K2_GAP_G == pytest.approx(2.302585, abs=1e-6)
     mean_T, p_error = walk_exact(*WALKS["gap-k2"])
