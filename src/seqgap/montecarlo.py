@@ -10,8 +10,10 @@ trials the loop rekeys one generator, resolves the horizon once and scores
 each distinct rejected set once.  Blocks of draws consume the random stream
 exactly as single steps would, so their sizes are free: a trial's first
 block is sized from the chunk's mean stopping time so far, later blocks
-are ``_BLOCK`` rows, fewer when K is so large that a block would hold
-over 2**16 draws.  A chunk returns columns (T, V, W, R, truncated) in
+are ``_BLOCK`` rows.  A rule trial draws no row past its horizon, and
+fewer rows a block when K is so large that a block would hold over 2**16
+draws; the SPRT's source is unbounded, and ``run_sprt`` alone stops it
+at the horizon.  A chunk returns columns (T, V, W, R, truncated) in
 trial-index order, 6 B per trial for K < 256 and a horizon below 65536,
 which are all the summary, the SPRT's error rate and the trial dump read.
 
@@ -40,8 +42,8 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Sequence, TypeAlias
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Callable, Literal, NamedTuple, Sequence, TypeAlias
 
 import numpy as np
 
@@ -185,16 +187,6 @@ class TrialColumns(NamedTuple):
 Trial: TypeAlias = "Callable[[np.random.Generator, int], tuple[int, frozenset[int] | None]]"
 
 
-def _block_sizes(horizon: int, first_block: int, most: int = _BLOCK) -> Iterator[int]:
-    """A trial's draw sizes: ``first_block``, then ``most`` at a time, ``horizon`` rows in all."""
-    n, count = 0, first_block
-    while n < horizon:
-        count = min(count, horizon - n)
-        yield count
-        n += count
-        count = most
-
-
 def _rule_trial(spec: ExperimentSpec, horizon: int) -> Trial:
     params = spec.params
     step, arg = spec.rule.stepper(calibrated_rule(spec), params)
@@ -204,13 +196,14 @@ def _rule_trial(spec: ExperimentSpec, horizon: int) -> Trial:
     most = max(1, min(_BLOCK, 2**16 // (params.K + 1)))
 
     def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
-        stats = start
-        for count in _block_sizes(horizon, min(first_block, most), most):
+        stats, count = start, min(first_block, most, horizon)
+        while count:  # no row is drawn past the horizon
             for row in sample_block(params, rng, count).tolist():
                 stats = update_stats(stats, row)
                 rejected = step(stats, arg)
                 if rejected is not None:
                     return stats[0], rejected
+            count = min(most, horizon - stats[0])
         return horizon, None
 
     return trial
@@ -305,9 +298,6 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     ``gi-k10-parallel`` at 2 CPUs that read 11.47k trials/s against 11.34k for a pool refilled from
     its futures' callbacks (10 alternating pairs, 5 faster; the pool's quartiles 10.83k-11.89k).
     A failed chunk, a dead worker or an interrupt ends the run, and every exit kills the workers.
-
-    This process runs its chunks through ``_run_trials``, not through ``_run_chunk``, the workers'
-    entry point: the dead-worker tests patch ``_run_chunk`` to kill the process that runs it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -323,8 +313,7 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
 
     from multiprocessing.connection import wait
 
-    horizon = spec.resolved_horizon_cap()
-    columns = TrialColumns.zeros(n, spec.params.K, horizon)
+    columns = TrialColumns.zeros(n, spec.params.K, spec.resolved_horizon_cap())
     dispenser, placed = iter(starts), []
     pool: dict[Connection, BaseProcess] = {}  # each worker by this process's end of its pipe
 
@@ -343,8 +332,7 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
             conn.send(first)
         while len(placed) < len(starts):  # a chunk here while any is left, then the results ready
             if (s := next(dispenser, None)) is not None:
-                place(s, _run_trials(spec.master_seed, s, min(s + chunk, n), partial(_rule_trial, spec),
-                                     horizon, spec.params.signal_set, spec.params.K))
+                place(s, _run_chunk(spec, s, min(s + chunk, n)))
             for conn in wait(list(pool), None if s is None else 0):
                 place(*conn.recv())
                 if (more := next(dispenser, None)) is not None:
@@ -495,10 +483,8 @@ def _sprt_trial(config: SprtConfig, truth: Literal["h0", "h1"], horizon: int) ->
 
     def trial(rng: np.random.Generator, first_block: int) -> tuple[int, frozenset[int] | None]:
         draw = lambda count: (mean + sd * rng.standard_normal(count)).tolist()
-        # map, not a generator expression: a test that stops early would
-        # abandon a second suspended generator, whose close costs about 0.3 us
-        draws = map(draw, _block_sizes(horizon, first_block))
-        return run_sprt(config, chain.from_iterable(draws), horizon)
+        sizes = chain((first_block,), repeat(_BLOCK))  # unbounded: ``run_sprt`` alone stops at the horizon
+        return run_sprt(config, chain.from_iterable(map(draw, sizes)), horizon)
 
     return trial
 

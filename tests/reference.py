@@ -14,7 +14,8 @@ Each one states a rule fact in its plainest form, with no regard to speed:
   compensates float totals, for checking that no total depends on it;
 * ``walk_exact`` -- the mean stopping time and lower-exit probability of
   a Gaussian random walk between two absorbing barriers, the exact
-  yardstick for the SPRT and for the K = 2 gap rule.
+  yardstick for the SPRT and for the K = 2 gap rule;
+* ``walk_law`` -- that walk's whole law, P(T = n, exit side) for each n.
 
 Only tests import this module; nothing under ``src/`` does.
 """
@@ -96,6 +97,27 @@ def compensated_sum(values, start=0):
     return total
 
 
+def _walk_nodes(lo, hi, drift, sd, nodes):
+    """Gauss-Legendre nodes y on (lo, hi), the weighted kernel x -> k(x, y_j) * w_j of one
+    N(drift, sd**2) step, one row per start in x, and x -> the probabilities that one step
+    from x lands at or below lo and at or above hi."""
+    import numpy as np
+
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    half = (hi - lo) / 2.0
+    y, w = lo + half * (t + 1.0), half * w
+
+    def weighted_kernel(x):
+        z = (y - np.asarray(x)[..., None] - drift) / sd
+        return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi)) * w
+
+    def exits(x):
+        scale = sd * math.sqrt(2.0)
+        return 0.5 * math.erfc((x + drift - lo) / scale), 0.5 * math.erfc((hi - x - drift) / scale)
+
+    return y, weighted_kernel, exits
+
+
 def walk_exact(lo, hi, drift, sd, nodes=200):
     """``(E[T], P(lower exit))`` of the walk from 0 with N(drift, sd**2) steps that stops at
     the first T with S_T <= lo or S_T >= hi (lo < 0 < hi).
@@ -111,18 +133,31 @@ def walk_exact(lo, hi, drift, sd, nodes=200):
     """
     import numpy as np
 
-    t, w = np.polynomial.legendre.leggauss(nodes)
-    half = (hi - lo) / 2.0
-    y, w = lo + half * (t + 1.0), half * w
-
-    def weighted_kernel(x):  # k(x, y_j) * w_j, one row per start in x
-        z = (y - np.asarray(x)[..., None] - drift) / sd
-        return np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi)) * w
-
-    def lower_step(x):  # P(one step from x lands at or below lo)
-        return 0.5 * (1.0 + math.erf((lo - x - drift) / (sd * math.sqrt(2.0))))
-
-    forced = np.column_stack([np.ones(nodes), [lower_step(x) for x in y]])
+    y, weighted_kernel, exits = _walk_nodes(lo, hi, drift, sd, nodes)
+    forced = np.column_stack([np.ones(nodes), [exits(x)[0] for x in y]])
     u, p = np.linalg.solve(np.eye(nodes) - weighted_kernel(y), forced).T
     row = weighted_kernel(0.0)
-    return 1.0 + float(row @ u), lower_step(0.0) + float(row @ p)
+    return 1.0 + float(row @ u), exits(0.0)[0] + float(row @ p)
+
+
+def walk_law(lo, hi, drift, sd, nmax, nodes=400):
+    """The joint law of ``walk_exact``'s stopping time and exit side: entry n - 1 of the list
+    is ``(P(T = n, S_T <= lo), P(T = n, S_T >= hi))``, for n = 1..nmax.
+
+    The forward recursion on the same nodes carries f_n, the density of S_n on the paths that
+    have not stopped by step n:
+
+        f_1(y) = k(0, y),   f_{n+1}(y) = integral of f_n(x) k(x, y) dx over (lo, hi),
+        P(T = n + 1, lower) = integral of f_n(x) Phi((lo - x - drift) / sd) dx,
+
+    and the upper side likewise.  Summed over n, it gives ``walk_exact``'s values.
+    """
+    import numpy as np
+
+    y, weighted_kernel, exits = _walk_nodes(lo, hi, drift, sd, nodes)
+    step, (lower, upper) = weighted_kernel(y), np.array([exits(x) for x in y]).T
+    law, alive = [exits(0.0)], weighted_kernel(0.0)  # f_n(y_j) * w_j
+    for _ in range(nmax - 1):
+        law.append((float(alive @ lower), float(alive @ upper)))
+        alive = alive @ step
+    return law

@@ -6,13 +6,17 @@ use fixed master seeds, so failures are reproducible, and tolerance bands
 are stated inline next to each assertion.
 """
 
+import csv
 import math
 import os
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
-from reference import gap_statistic, reference_order, walk_exact
+from reference import gap_statistic, reference_order, walk_exact, walk_law
+import seqgap.montecarlo as montecarlo
 from seqgap.cli import main
 from seqgap.model import ModelParams
 from seqgap.montecarlo import (
@@ -207,6 +211,74 @@ def test_criterion_05_k2_gap_mc_tracks_the_exact_walk():
     error_se = math.sqrt(exact_error * (1.0 - exact_error) / spec.replications)
     assert abs(summary.metrics.pics.value - exact_error) < 3.0 * error_se
     _passed("criterion 5 (K=2 gap, exact)", f"mean_T={summary.mean_T:.5f} exact={exact_T:.6f} z={z:+.2f}")
+
+
+def _chi2_upper_quantile(df, p=1e-3):
+    """The chi-square quantile that ``df`` degrees of freedom exceed with probability ``p``, by
+    Wilson-Hilferty: (X/df)**(1/3) is near N(1 - h, h) with h = 2/(9 df)."""
+    lo, hi = 0.0, 40.0  # the standard normal's upper p-quantile, by bisection
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if 0.5 * math.erfc(mid / math.sqrt(2.0)) > p else (lo, mid)
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + lo * math.sqrt(h)) ** 3
+
+
+def _law_chi2(outcomes, law):
+    """Pearson's chi-square of (stopping time, exit side) outcomes against ``walk_law``'s cells,
+    side 0 the lower exit and 1 the upper, and its degrees of freedom.  Each side's cells run
+    over consecutive stopping times, pooled until each expects at least 5."""
+    counts, reps = Counter(outcomes), len(outcomes)
+    assert max(n for n, _ in counts) <= len(law)
+    cells = []
+    for side in (0, 1):
+        side_cells, expected, observed = [], 0.0, 0
+        for n, probabilities in enumerate(law, 1):
+            expected, observed = expected + reps * probabilities[side], observed + counts[n, side]
+            if expected >= 5.0:
+                side_cells.append((expected, observed))
+                expected, observed = 0.0, 0
+        last_expected, last_observed = side_cells.pop()  # the tail joins the last cell
+        cells += side_cells + [(last_expected + expected, last_observed + observed)]
+    return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
+
+
+@pytest.mark.parametrize("truth", ["h0", "h1"])
+def test_criterion_05_sprt_stopping_law_is_the_exact_walks(truth):
+    """The joint histogram of the SPRT's stopping time and decision, on criterion 5's 10^5 runs,
+    fits ``walk_law``'s exact law by a chi-square test at the 1e-3 level.  A mean check cannot
+    see a wrong law with the right mean; this test can (a step variance x 1.1 fails it)."""
+    sym = SprtConfig(0.0, 1.0, 1.0, gamma=0.01, delta=0.01)
+    law = walk_law(sym.b, sym.a, 0.5 if truth == "h1" else -0.5, 1.0, nmax=300)
+    signal_set = frozenset({1}) if truth == "h1" else frozenset()
+    trials = montecarlo._run_trials(16180, 0, 10**5, partial(montecarlo._sprt_trial, sym, truth), len(law),
+                                    signal_set, 1)
+    assert not any(trials.truncated)
+    chi2, df = _law_chi2(list(zip(trials.T, trials.R)), law)  # R = 1: the null rejected, the upper exit
+    assert chi2 < _chi2_upper_quantile(df)
+    _passed(f"criterion 5 ({truth}, law)", f"chi2={chi2:.1f} on {df} df, 1e-3 quantile {_chi2_upper_quantile(df):.1f}")
+
+
+def test_criterion_05_k2_gap_stopping_law_is_the_exact_walks(tmp_path):
+    """The K = 2 gap rule's stopping times and selections, read from ``--trial-dump``, fit the
+    exact law of the pair difference's walk between -G and G at the 1e-3 level."""
+    config = tmp_path / "k2.json"
+    config.write_text(
+        '{"model": {"K": 2, "rho": 0.5, "mu": 1.0, "signal_set": [1]}, "rule": {"kind": "gap", "m": 1},'
+        ' "targets": {"alpha": 0.01, "beta": 0.01}, "mc": {"replications": 100000, "master_seed": 7}}'
+    )
+    dump = tmp_path / "trials.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.csv"),
+                 "--trial-dump", str(dump), "--workers", str(WORKERS)]) == 0
+    with dump.open(newline="") as rows:
+        trials = list(csv.DictReader(rows))
+    assert len(trials) == 10**5 and not any(row["truncated"] == "true" for row in trials)
+    G = calibrate_gap(1, 2, 0.01, 0.01, 0.5, 1.0).G
+    law = walk_law(-G, G, 1.0, math.sqrt(2.0 * (1.0 - 0.5)), nmax=200)
+    # V = 0: stream 1 selected, S_1 - S_2 left at G, the upper exit
+    chi2, df = _law_chi2([(int(row["stopping_time"]), int(row["V"] == "0")) for row in trials], law)
+    assert chi2 < _chi2_upper_quantile(df)
+    _passed("criterion 5 (K=2 gap, law)", f"chi2={chi2:.1f} on {df} df, 1e-3 quantile {_chi2_upper_quantile(df):.1f}")
 
 
 def test_criterion_06_single_pair_benchmark():

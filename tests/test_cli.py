@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import csv
 import importlib
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -310,6 +312,18 @@ def test_outputs_do_not_depend_on_workers(tmp_path, kind):
         assert b",6,255,1,255,true\n" in outputs[0][1]
 
 
+@pytest.mark.parametrize("grid", [{"alpha_grid": [1e-2, 1e-4]}, {"rho_grid": [0.0, 0.5]}], ids=["alpha", "rho"])
+def test_sweep_outputs_do_not_depend_on_workers(tmp_path, monkeypatch, grid):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)  # two processes whatever the CPUs
+    cfg = write_config(tmp_path, base_config(sweep=grid))
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"s{workers}.csv"
+        assert run_cli(["sweep", "--config", cfg, "--out", out, "--reps", 200, "--workers", workers]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_trial_dump(tmp_path):
     cfg = write_config(tmp_path, base_config())
     dump = tmp_path / "trials.csv"
@@ -477,12 +491,15 @@ def test_exit_codes(tmp_path):
     assert run_cli(["simulate", "--config", good, "--workers", 0]) == 1
 
 
-def _die(*args, **kwargs):
-    os._exit(1)
-
-
 def test_dead_worker_is_one_line_and_exit_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(montecarlo, "_run_chunk", _die)
+    run_chunk, here = montecarlo._run_chunk, os.getpid()
+
+    def die_in_a_worker(spec, start, stop):  # this process runs its chunks through ``_run_chunk`` too
+        if os.getpid() != here:
+            os._exit(1)
+        return run_chunk(spec, start, stop)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", die_in_a_worker)
     cfg = write_config(tmp_path, base_config())
     capsys.readouterr()
     assert run_cli(["simulate", "--config", cfg, "--out", tmp_path / "r.csv",
@@ -501,9 +518,9 @@ def test_a_worker_killed_mid_run_is_one_line_and_exit_3(tmp_path):
         "import os, signal, sys\n"
         "import seqgap.montecarlo as montecarlo\n"
         "from seqgap.cli import main\n"
-        "run_chunk = montecarlo._run_chunk\n"
+        "run_chunk, here = montecarlo._run_chunk, os.getpid()\n"
         "def die_after_the_first(spec, start, stop):\n"
-        "    if start > 0:\n"
+        "    if start > 0 and os.getpid() != here:\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
         "    return run_chunk(spec, start, stop)\n"
         "montecarlo._run_chunk = die_after_the_first\n"
@@ -526,10 +543,12 @@ def test_a_worker_gone_before_a_send_is_one_line_and_exit_3(tmp_path):
         "import seqgap.montecarlo as montecarlo\n"
         "from seqgap.cli import main\n"
         "run_chunk, run_trials, taken = montecarlo._run_chunk, montecarlo._run_trials, []\n"
+        "here = os.getpid()\n"
         "def die_at_the_second_start(spec, start, stop):\n"
-        "    taken.append(start)\n"
-        "    if len(taken) == 2:\n"
-        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    if os.getpid() != here:\n"
+        "        taken.append(start)\n"
+        "        if len(taken) == 2:\n"
+        "            os.kill(os.getpid(), signal.SIGKILL)\n"
         "    return run_chunk(spec, start, stop)\n"
         "def once_the_worker_is_gone(*args):\n"
         "    while multiprocessing.active_children():\n"
@@ -935,6 +954,18 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
     for name in mod.__all__:
         assert hasattr(mod, name), f"{module}.__all__ names {name!r}, which is not defined"
+
+
+def test_every_module_parses_at_the_python_floor():
+    """Only one interpreter may be installed: parse each module as source of the oldest Python
+    that ``requires-python`` admits, so that newer syntax fails here."""
+    root = Path(seqgap.__file__).parent
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (root.parents[1] / "pyproject.toml").read_text())
+    assert floor
+    modules = sorted(root.glob("*.py"))
+    assert root / "montecarlo.py" in modules
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, int(floor[1])))
 
 
 def test_undefined_conditional_serialization(tmp_path):

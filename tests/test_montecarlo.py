@@ -234,11 +234,54 @@ def test_sprt_error_mc_checks_the_run_size_before_any_trial(monkeypatch, seed, r
                            "exceeds the limit of 10000000000 steps")
 
 
-def test_block_sizes():
-    assert list(montecarlo._block_sizes(150, 8)) == [8, 64, 64, 14]
-    assert list(montecarlo._block_sizes(5, 8)) == [5]
-    assert list(montecarlo._block_sizes(128, 64)) == [64, 64]
-    assert list(montecarlo._block_sizes(10, 1, 3)) == [1, 3, 3, 3]  # later blocks capped
+@pytest.mark.parametrize("K, first_block, horizon, counts", [
+    (4, 8, 150, [8, 64, 64, 14]),
+    (4, 8, 5, [5]),
+    (4, 64, 128, [64, 64]),
+    (2000, 8, 100, [8, 32, 32, 28]),  # 32 rows of K + 1 normals: at most 2**16 draws a block
+    (2000, 64, 40, [32, 8]),
+])
+def test_a_rule_trial_draws_no_row_past_its_horizon(monkeypatch, K, first_block, horizon, counts):
+    """A trial whose step never stops asks ``sample_block`` for its first block, then for at most
+    64 rows at a time, ``horizon`` rows in all."""
+    drawn, sample_block = [], montecarlo.sample_block
+
+    def recording(params, rng, count):
+        drawn.append(count)
+        return sample_block(params, rng, count)
+
+    monkeypatch.setattr(montecarlo, "sample_block", recording)
+    monkeypatch.setattr(GapRuleSpec, "stepper", lambda self, cfg, params: (lambda stats, arg: None, None))
+    trial = montecarlo._rule_trial(gap_spec(K=K), horizon)
+    assert trial(trial_generator(1, 0), first_block) == (horizon, None)
+    assert drawn == counts
+
+
+class ZeroNormals:
+    """A generator stand-in whose normals are all 0; it records the sizes asked of it."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def standard_normal(self, count):
+        self.sizes.append(count)
+        return np.zeros(count)
+
+
+@pytest.mark.parametrize("first_block, horizon, sizes", [
+    (8, 150, [8, 64, 64, 64]),
+    (8, 5, [8]),
+    (64, 64, [64]),
+    (64, 65, [64, 64]),
+])
+def test_an_sprt_trial_draws_its_first_block_then_64_at_a_time(first_block, horizon, sizes):
+    """The source is unbounded, so the sizes do not depend on the horizon; ``run_sprt`` stops
+    the run there.  One-sided under h0 with no noise, the statistic falls by 1 a step and never
+    reaches a boundary."""
+    config = SprtConfig(-1.0, 1.0, 1.0, 0.01, 0.0)
+    rng = ZeroNormals()
+    assert montecarlo._sprt_trial(config, "h0", horizon)(rng, first_block) == (horizon, None)
+    assert rng.sizes == sizes
 
 
 # ----------------------------------------------------------------- trials

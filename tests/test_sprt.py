@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reference import walk_exact
+from reference import walk_exact, walk_law
 from seqgap.montecarlo import sprt_error_mc
 from seqgap.rules import calibrate_gap
 from seqgap.sprt import (
@@ -146,7 +146,9 @@ def test_run_sprt_stops_at_first_crossing():
 def test_run_sprt_truncates():
     cfg = SprtConfig(0.0, 1.0, 1.0, gamma=0.05, delta=0.05)
     drift = [0.5] * 5  # statistic stays at 0 forever
-    assert_result(run_sprt(cfg, drift, horizon_cap=3), 3, None)
+    source = iter(drift)
+    assert_result(run_sprt(cfg, source, horizon_cap=3), 3, None)
+    assert list(source) == [0.5, 0.5]  # a truncated run consumes exactly its horizon
     assert_result(run_sprt(cfg, drift, horizon_cap=50), 5, None)  # source exhausted
     assert_result(run_sprt(cfg, [], horizon_cap=50), 0, None)
     with pytest.raises(ValueError, match="horizon_cap"):
@@ -268,6 +270,15 @@ WALKS = {"sprt": (SYMMETRIC.b, SYMMETRIC.a, 0.5, 1.0), "gap-k2": (-K2_GAP_G, K2_
 @pytest.mark.parametrize("walk", sorted(WALKS))
 def test_walk_exact_converges_in_the_nodes(walk):
     assert walk_exact(*WALKS[walk], nodes=50) == pytest.approx(walk_exact(*WALKS[walk], nodes=400), abs=1e-9)
+
+
+@pytest.mark.parametrize("walk", sorted(WALKS))
+def test_walk_law_sums_to_walk_exact(walk):
+    law = walk_law(*WALKS[walk], nmax=300)
+    mean_T, p_lower = walk_exact(*WALKS[walk])
+    assert sum(lower + upper for lower, upper in law) == pytest.approx(1.0, abs=1e-12)
+    assert sum(n * (lower + upper) for n, (lower, upper) in enumerate(law, 1)) == pytest.approx(mean_T, abs=1e-10)
+    assert sum(lower for lower, _ in law) == pytest.approx(p_lower, abs=1e-10)
 
 
 def test_walk_exact_sprt_values():
