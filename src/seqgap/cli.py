@@ -25,7 +25,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from ._version import __version__
@@ -36,8 +35,9 @@ from .config import (
     ExperimentSpec,
     ParsedConfig,
     load_config,
+    parse_config_dict,
+    read_config,
     resolved_config_dict,
-    rule_dict,
     spec_dict,
 )
 from .sprt import SprtConfig, asn_asymptotic, asn_wald
@@ -58,37 +58,32 @@ SCHEMA = [
 TRIAL_DUMP_SCHEMA = ["trial_index", "stopping_time", "V", "W", "R", "truncated"]
 
 
+def _settings(spec: ExperimentSpec) -> dict:
+    """``spec_dict`` with the resolved horizon: what the report's settings columns and id read."""
+    doc = spec_dict(spec)
+    doc["mc"]["horizon_cap"] = spec.resolved_horizon_cap()
+    return doc
+
+
 def experiment_id(spec: ExperimentSpec) -> str:
     """Short content hash of everything that determines the trial stream."""
     import hashlib  # here, so that the commands that write no report do not load OpenSSL
 
-    doc = spec_dict(spec)
-    doc["mc"]["horizon_cap"] = spec.resolved_horizon_cap()
-    doc["generator_id"] = GENERATOR_ID
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
-    return digest[:12]
+    doc = {**_settings(spec), "generator_id": GENERATOR_ID}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()[:12]
 
 
 def summary_row(spec: ExperimentSpec, summary: ExperimentSummary) -> dict:
     """One report row, keyed by SCHEMA; inapplicable fields are None."""
-    rule = rule_dict(spec.rule)
+    doc = _settings(spec)
     met = summary.metrics
-    return {
+    values = {
         "experiment_id": experiment_id(spec),
-        "rule": rule["kind"],
-        "variant": rule.get("variant"),
-        "K": spec.params.K,
-        "m": rule.get("m"),
-        "l": rule.get("l"),
-        "u": rule.get("u"),
-        "rho": spec.params.rho,
-        "mu": spec.params.mu,
-        "alpha": spec.alpha,
-        "beta": spec.beta,
-        "c1_adjust": rule.get("c1_adjust"),
-        "replications": spec.replications,
-        "horizon_cap": spec.resolved_horizon_cap(),
-        "master_seed": spec.master_seed,
+        "rule": doc["rule"]["kind"],
+        **doc["model"],
+        **doc["rule"],
+        **doc["targets"],
+        **doc["mc"],
         "generator_id": summary.generator_id,
         "mean_T": summary.mean_T,
         "se_T": summary.se_T,
@@ -105,6 +100,7 @@ def summary_row(spec: ExperimentSpec, summary: ExperimentSummary) -> dict:
         "truncation_count": summary.truncation_count,
         "reliable": summary.reliable,
     }
+    return {col: values.get(col) for col in SCHEMA}
 
 
 def _cell(value) -> str:
@@ -220,26 +216,20 @@ def _emit(parsed: ParsedConfig, rows: Sequence[dict], out: TextIO) -> None:
         write_report_csv(out, rows, config_doc, seed)
 
 
-def _apply_overrides(parsed: ParsedConfig, args: argparse.Namespace) -> ParsedConfig:
-    spec = parsed.spec
-    spec_updates = {}
-    if args.seed is not None:
-        spec_updates["master_seed"] = args.seed
-    if args.reps is not None:
-        spec_updates["replications"] = args.reps
-    if args.horizon is not None:
-        spec_updates["horizon_cap"] = args.horizon
-    if spec_updates:
-        try:
-            spec = replace(spec, **spec_updates)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    updates = {"spec": spec}
-    if args.out is not None:
-        updates["out_path"] = args.out
-    if args.format is not None:
-        updates["out_format"] = args.format
-    return replace(parsed, **updates)
+def _load_with_overrides(args: argparse.Namespace) -> ParsedConfig:
+    """The config, parsed with the command line's values written into its ``mc`` (a file with none
+    fails as it would without them) and ``output``, so that they pass the file's own checks."""
+    doc = read_config(args.config)
+    overrides = {
+        "mc": {"master_seed": args.seed, "replications": args.reps, "horizon_cap": args.horizon},
+        "output": {"path": args.out, "format": args.format},
+    }
+    if isinstance(doc, dict):
+        doc.setdefault("output", {})  # parses as an absent one
+        for name, values in overrides.items():
+            if isinstance(section := doc.get(name), dict):
+                section.update((key, value) for key, value in values.items() if value is not None)
+    return parse_config_dict(doc)
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -251,7 +241,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    parsed = _apply_overrides(load_config(args.config), args)
+    parsed = _load_with_overrides(args)
     from .montecarlo import run_experiment_with_trials  # the engine: numpy loads only now
 
     with _staged_outputs(parsed.out_path, args.trial_dump) as (out, dump):
@@ -263,7 +253,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    parsed = _apply_overrides(load_config(args.config), args)
+    parsed = _load_with_overrides(args)
     if parsed.sweep_kind is None:
         raise ConfigError("sweep command requires a sweep section (alpha_grid or rho_grid)")
     assert parsed.sweep_grid is not None

@@ -42,6 +42,7 @@ __all__ = [
     "calibrated_rule",
     "load_config",
     "parse_config_dict",
+    "read_config",
     "resolved_config_dict",
     "rule_dict",
     "spec_dict",
@@ -407,15 +408,22 @@ def _unique_object(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def load_config(path: str) -> ParsedConfig:
+def read_config(path: str):
+    """The JSON document at ``path``, unparsed: duplicate keys, the non-JSON constants and
+    nesting deeper than the interpreter's recursion limit are refused as ``ConfigError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_object)
+            return json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # json.JSONDecodeError, or a hook's rejection
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config_dict(doc)
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply to read") from exc
+
+
+def load_config(path: str) -> ParsedConfig:
+    return parse_config_dict(read_config(path))
 
 
 def rule_dict(rule: RuleSpec) -> dict:

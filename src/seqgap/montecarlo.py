@@ -25,10 +25,12 @@ run that forks workers imports ``multiprocessing``; none starts a thread.
 
 A trial returns ``(stopping_time, rejected)``, with ``rejected`` None when
 the horizon cap cut it off; ``run_trial`` returns that pair as a
-``TrialResult``.  The loop scores a truncated trial as maximally wrong:
-its rejected set is the complement of the signal set, which drives every
-error indicator and proportion to 1 and keeps the confusion identities
-exact.  Over 5% truncations flag an experiment unreliable.
+``TrialResult``, the type ``run_sprt`` returns, which ``seqgap.sprt``
+defines and this module re-exports.  The loop scores a truncated trial as
+maximally wrong: its rejected set is the complement of the signal set,
+which drives every error indicator and proportion to 1 and keeps the
+confusion identities exact.  Over 5% truncations flag an experiment
+unreliable.
 
 ``ExperimentSpec`` and the names that check and calibrate it live in
 ``seqgap.config``, which loads no numpy; they are re-exported here.
@@ -59,7 +61,7 @@ from .config import (
 from .metrics import MetricEstimates, aggregate, binomial, confusion, sample_mean
 from .model import sample_block, update_stats
 from .rules import GapRuleSpec, GiRuleSpec, MaxGapRuleSpec, RuleSpec
-from .sprt import REJECT_H0, SprtConfig, asn_asymptotic, run_sprt
+from .sprt import REJECT_H0, SprtConfig, TrialResult, asn_asymptotic, run_sprt
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -141,14 +143,6 @@ def trial_generator(
         "uinteger": 0,
     }
     return rng
-
-
-class TrialResult(NamedTuple):
-    """Stopping time and 1-based rejected set; ``rejected`` is None when the
-    horizon cut the trial off."""
-
-    stopping_time: int
-    rejected: frozenset[int] | None
 
 
 def _unsigned(most: int) -> str:
@@ -441,14 +435,14 @@ def matched_sprt_config(spec: ExperimentSpec) -> SprtConfig:
     """One-sided SPRT distinguishing a wrongly-ordered pair of streams.
 
     The pairwise sum difference has mean -mu vs +mu and variance 2*(1-rho)
-    per step; the level is min(alpha, beta) split across the m*(K-m)
-    signal/noise pairs.
+    per step; the level is the gap rule's per-pair level exp(-c), which
+    ``calibrate_gap`` sets to min(alpha, beta)/C1 split across the m*(K-m)
+    signal/noise pairs, so the test's boundary is the rule's G.
     """
-    rule = spec.rule
-    if not isinstance(rule, GapRuleSpec):
-        raise ValueError(f"SPRT benchmark applies to the gap rule, got kind={rule.kind!r}")
+    if not isinstance(spec.rule, GapRuleSpec):
+        raise ValueError(f"SPRT benchmark applies to the gap rule, got kind={spec.rule.kind!r}")
     p = spec.params
-    level = min(spec.alpha, spec.beta) / (rule.m * (p.K - rule.m))
+    level = math.exp(-calibrated_rule(spec).c)
     return SprtConfig(theta0=-p.mu, theta1=p.mu, sigma2=2.0 * (1.0 - p.rho), gamma=level, delta=0.0)
 
 

@@ -11,8 +11,9 @@ against the boundaries rescaled by sigma2/(theta1-theta0).
 
 ``sprt_step`` returns the rejected set of one stream, as the rule steps
 do: ``REJECT_H0`` = {1} or ``ACCEPT_H0`` = {} on a decision, ``None`` to
-continue.  ``run_sprt`` returns the run's ``(stopping_time, rejected)``,
-with ``rejected`` None when the horizon or the source runs out.
+continue.  ``run_sprt`` returns the run's ``TrialResult(stopping_time,
+rejected)``, the type of every trial's outcome, with ``rejected`` None
+when the horizon or the source runs out.
 
 Also provides the classical average-sample-number (ASN) approximations and
 the small-error asymptotic ASN used as the optimality yardstick for the
@@ -29,7 +30,7 @@ __all__ = [
     "ACCEPT_H0",
     "REJECT_H0",
     "SprtConfig",
-    "SprtResult",
+    "TrialResult",
     "asn_asymptotic",
     "asn_wald",
     "run_sprt",
@@ -126,14 +127,15 @@ def sprt_step(config: SprtConfig, n: int, cum_sum: float) -> frozenset[int] | No
     return None
 
 
-class SprtResult(NamedTuple):
-    """Observations consumed, and the decision's rejected set (None if truncated)."""
+class TrialResult(NamedTuple):
+    """A trial's outcome, for a rule or the SPRT: its stopping time and its 1-based rejected set,
+    None when the horizon (or the SPRT's source) cut the trial off."""
 
     stopping_time: int
     rejected: frozenset[int] | None
 
 
-def run_sprt(config: SprtConfig, increments: Iterable[float], horizon_cap: int) -> SprtResult:
+def run_sprt(config: SprtConfig, increments: Iterable[float], horizon_cap: int) -> TrialResult:
     """Feed increments through the test until a decision or the horizon.
 
     ``rejected`` is None if the horizon is reached or the source is
@@ -148,10 +150,10 @@ def run_sprt(config: SprtConfig, increments: Iterable[float], horizon_cap: int) 
         cum_sum += u
         rejected = sprt_step(config, n, cum_sum)
         if rejected is not None:
-            return SprtResult(n, rejected)
+            return TrialResult(n, rejected)
         if n >= horizon_cap:
             break
-    return SprtResult(n, None)
+    return TrialResult(n, None)
 
 
 def asn_wald(config: SprtConfig, under: Literal["h0", "h1"]) -> float:

@@ -18,6 +18,7 @@ import pytest
 from reference import gap_statistic, reference_order, walk_exact, walk_law
 import seqgap.montecarlo as montecarlo
 from seqgap.cli import main
+from seqgap.metrics import sample_mean
 from seqgap.model import ModelParams
 from seqgap.montecarlo import (
     ExperimentSpec,
@@ -190,27 +191,38 @@ def test_criterion_05_sprt_mc_tracks_the_exact_walk(truth):
     _passed(f"criterion 5 ({truth}, exact)", f"mean_T={mc.mean_T:.4f} exact={exact_T:.6f} z={z:+.2f}")
 
 
-def test_criterion_05_k2_gap_mc_tracks_the_exact_walk():
+@pytest.mark.parametrize("rho, mu, alpha, nmax", [(0.5, 1.0, 1e-2, 100), (0.0, 0.5, 1e-4, 600), (0.5, 1.0, 1e-6, 100)],
+                         ids=["rho0.5-mu1-alpha1e-2", "rho0-mu0.5-alpha1e-4", "rho0.5-mu1-alpha1e-6"])
+def test_criterion_05_k2_gap_mc_tracks_the_exact_walk(rho, mu, alpha, nmax):
     """The K = 2, m = 1 gap rule stops when the pair difference S_1 - S_2, which steps
     N(mu, 2(1 - rho)), leaves (-G, G).  The MC mean stopping time lies within 3 se of
-    that walk's exact mean, and its selection-error rate within 3 se of the lower exit's."""
+    that walk's exact mean, its mean squared stopping time (so sd(T)) within 3 se of
+    ``walk_law``'s E[T^2], and its selection-error rate within 3 se of the lower exit's."""
     spec = ExperimentSpec(
-        params=ModelParams(K=2, rho=0.5, mu=1.0, signal_set=frozenset({1})),
+        params=ModelParams(K=2, rho=rho, mu=mu, signal_set=frozenset({1})),
         rule=GapRuleSpec(m=1),
-        alpha=1e-2,
-        beta=1e-2,
+        alpha=alpha,
+        beta=alpha,
         replications=2 * 10**4,
         master_seed=7,
     )
     G = spec.rule.calibrate(spec.params, spec.alpha, spec.beta).G
-    summary = run_experiment(spec, workers=WORKERS)
-    exact_T, exact_error = walk_exact(-G, G, 1.0, math.sqrt(2.0 * (1.0 - 0.5)))
+    summary, trials = run_experiment_with_trials(spec, workers=WORKERS)
+    sd = math.sqrt(2.0 * (1.0 - rho))
+    exact_T, exact_error = walk_exact(-G, G, mu, sd)
+    law = walk_law(-G, G, mu, sd, nmax)
+    assert abs(sum(map(sum, law)) - 1.0) < 1e-12
+    exact_T2 = sum(n * n * (lower + upper) for n, (lower, upper) in enumerate(law, 1))
     z = (summary.mean_T - exact_T) / summary.se_T
+    T2 = sample_mean([t * t for t in trials.T])
+    z2 = (T2.value - exact_T2) / T2.se
     assert summary.truncation_count == 0
     assert abs(z) < 3.0
+    assert abs(z2) < 3.0
     error_se = math.sqrt(exact_error * (1.0 - exact_error) / spec.replications)
     assert abs(summary.metrics.pics.value - exact_error) < 3.0 * error_se
-    _passed("criterion 5 (K=2 gap, exact)", f"mean_T={summary.mean_T:.5f} exact={exact_T:.6f} z={z:+.2f}")
+    _passed(f"criterion 5 (K=2 gap at rho={rho}, mu={mu}, alpha={alpha}, exact)",
+            f"mean_T={summary.mean_T:.5f} exact={exact_T:.6f} z={z:+.2f}, E[T^2] z={z2:+.2f}")
 
 
 def _chi2_upper_quantile(df, p=1e-3):
@@ -238,8 +250,10 @@ def _law_chi2(outcomes, law):
             if expected >= 5.0:
                 side_cells.append((expected, observed))
                 expected, observed = 0.0, 0
-        last_expected, last_observed = side_cells.pop()  # the tail joins the last cell
-        cells += side_cells + [(last_expected + expected, last_observed + observed)]
+        if side_cells:  # the tail joins the last cell; a side that never expects 5 is one cell
+            last_expected, last_observed = side_cells.pop()
+            expected, observed = expected + last_expected, observed + last_observed
+        cells += side_cells + [(expected, observed)]
     return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
 
 
@@ -259,13 +273,14 @@ def test_criterion_05_sprt_stopping_law_is_the_exact_walks(truth):
     _passed(f"criterion 5 ({truth}, law)", f"chi2={chi2:.1f} on {df} df, 1e-3 quantile {_chi2_upper_quantile(df):.1f}")
 
 
-def test_criterion_05_k2_gap_stopping_law_is_the_exact_walks(tmp_path):
+@pytest.mark.parametrize("alpha", [1e-2, 1e-4], ids=["alpha1e-2", "alpha1e-4"])
+def test_criterion_05_k2_gap_stopping_law_is_the_exact_walks(tmp_path, alpha):
     """The K = 2 gap rule's stopping times and selections, read from ``--trial-dump``, fit the
     exact law of the pair difference's walk between -G and G at the 1e-3 level."""
     config = tmp_path / "k2.json"
     config.write_text(
         '{"model": {"K": 2, "rho": 0.5, "mu": 1.0, "signal_set": [1]}, "rule": {"kind": "gap", "m": 1},'
-        ' "targets": {"alpha": 0.01, "beta": 0.01}, "mc": {"replications": 100000, "master_seed": 7}}'
+        f' "targets": {{"alpha": {alpha}, "beta": {alpha}}}, "mc": {{"replications": 100000, "master_seed": 7}}}}'
     )
     dump = tmp_path / "trials.csv"
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.csv"),
@@ -273,12 +288,13 @@ def test_criterion_05_k2_gap_stopping_law_is_the_exact_walks(tmp_path):
     with dump.open(newline="") as rows:
         trials = list(csv.DictReader(rows))
     assert len(trials) == 10**5 and not any(row["truncated"] == "true" for row in trials)
-    G = calibrate_gap(1, 2, 0.01, 0.01, 0.5, 1.0).G
-    law = walk_law(-G, G, 1.0, math.sqrt(2.0 * (1.0 - 0.5)), nmax=200)
+    G = calibrate_gap(1, 2, alpha, alpha, 0.5, 1.0).G
+    law = walk_law(-G, G, 1.0, math.sqrt(2.0 * (1.0 - 0.5)), nmax=100)
+    assert abs(sum(map(sum, law)) - 1.0) < 1e-12
     # V = 0: stream 1 selected, S_1 - S_2 left at G, the upper exit
     chi2, df = _law_chi2([(int(row["stopping_time"]), int(row["V"] == "0")) for row in trials], law)
     assert chi2 < _chi2_upper_quantile(df)
-    _passed("criterion 5 (K=2 gap, law)", f"chi2={chi2:.1f} on {df} df, 1e-3 quantile {_chi2_upper_quantile(df):.1f}")
+    _passed(f"criterion 5 (K=2 gap at alpha={alpha}, law)", f"chi2={chi2:.1f} on {df} df, 1e-3 quantile {_chi2_upper_quantile(df):.1f}")
 
 
 def test_criterion_06_single_pair_benchmark():

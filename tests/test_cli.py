@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -365,6 +366,55 @@ def test_overrides_change_the_run(tmp_path):
     assert rows1[0]["replications"] == "50"
     assert rows1[0]["master_seed"] == "9"
     assert rows1[0]["mean_T"] != rows2[0]["mean_T"]
+
+
+@pytest.mark.parametrize("command, mc, extra, column, value", [
+    ("simulate", {"replications": 10**8, "master_seed": 5}, ["--reps", 100], "replications", "100"),
+    ("simulate", {"replications": 20, "master_seed": 5, "horizon_cap": 0}, ["--horizon", 50], "horizon_cap", "50"),
+    ("sweep", {"replications": 2 * 10**7, "master_seed": 5}, ["--reps", 50], "replications", "50"),
+], ids=["reps", "horizon", "sweep-reps"])
+def test_an_override_replaces_a_value_the_file_alone_would_fail(tmp_path, capsys, command, mc, extra, column,
+                                                                value):
+    """An override is written into the config before it is parsed, so the file's own value is never checked."""
+    cfg = write_config(tmp_path, base_config(mc=mc, sweep={"alpha_grid": [1e-2, 1e-3]}))
+    out = tmp_path / "r.csv"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert run_cli([command, "--config", cfg, "--out", out, *extra]) == 0
+    _, rows = read_report_csv(out)
+    assert {row[column] for row in rows} == {value}
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--reps", 0], "error: replications must be >= 1, got 0\n"),
+    (["--seed", -1], "error: master_seed must be an unsigned 64-bit integer, got -1\n"),
+    (["--horizon", 0], "error: horizon_cap must be >= 1, got 0\n"),
+])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_bad_override_is_one_line_and_exit_1(tmp_path, capsys, command, extra, message):
+    cfg = write_config(tmp_path, base_config(sweep={"alpha_grid": [1e-2]}))
+    assert run_cli([command, "--config", cfg, "--out", tmp_path / "r.csv", *extra]) == 1
+    assert capsys.readouterr().err == message
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_overrides_do_not_supply_a_missing_mc_object(tmp_path, capsys):
+    doc = base_config()
+    del doc["mc"]
+    cfg = write_config(tmp_path, doc)
+    for extra in ([], ["--seed", 1, "--reps", 10, "--horizon", 20]):
+        assert run_cli(["simulate", "--config", cfg, *extra]) == 1
+        assert capsys.readouterr().err == "error: missing required key 'mc' in config\n"
+
+
+@pytest.mark.parametrize("nest", [lambda deep: deep, lambda deep: json.dumps(base_config()).replace(
+    '{"K": 4, "rho": 0.5, "mu": 1.0}', deep)], ids=["bare", "model"])
+@pytest.mark.parametrize("command", ["calibrate", "simulate"])
+def test_a_deeply_nested_config_is_one_line_and_exit_1(tmp_path, capsys, command, nest):
+    path = tmp_path / "cfg.json"
+    path.write_text(nest("[" * 10**5 + "]" * 10**5))
+    assert run_cli([command, "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: config {path} is nested too deeply to read\n"
 
 
 # -------------------------------------------------------------- calibrate
@@ -753,6 +803,25 @@ def test_readme_library_import_line():
         text for text in readme.read_text().splitlines() if text.startswith("from seqgap import")
     )
     exec(line, {})
+
+
+def test_the_readme_config_and_flags_are_the_programs():
+    """The README's JSON config parses; every flag that its CLI section names is an option of a
+    command, and every ``seqgap`` command line in it parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    parse_config_dict(json.loads(re.search(r"```json\n(.*?)```", cli_section, re.S).group(1)))
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"calibrate", "simulate", "sweep", "sprt-asn"}
+    options = {flag for command in commands.values() for flag in command._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", cli_section))
+    assert {"--config", "--reps", "--trial-dump", "--theta0"} <= named <= options, named - options
+    lines = re.findall(r"^seqgap (.+?)(?:\s+#.*)?$", readme, re.M)
+    lines += re.findall(r"`seqgap ((?:calibrate|simulate|sweep|sprt-asn) [^`]+)`", readme)
+    assert len(lines) >= 5
+    for line in lines:
+        parser.parse_args(line.split())
 
 
 def test_tests_import_this_checkout():

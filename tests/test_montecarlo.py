@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from array import array
+from dataclasses import replace
 from multiprocessing.connection import Pipe
 from types import SimpleNamespace
 
@@ -709,6 +710,17 @@ def test_matched_sprt_config_frozen_values():
     assert cfg.sigma2 == pytest.approx(1.0, rel=1e-12)  # 2*(1-rho)
     assert (cfg.theta0, cfg.theta1) == (-1.0, 1.0)
     assert asn_asymptotic(cfg) == pytest.approx(7.600902, abs=1e-6)
+
+
+@pytest.mark.parametrize("c1", [1.0, 2.0, 4.0])  # C1 = 1, 2 and K
+def test_the_matched_sprt_boundary_is_the_gap_rules_g(c1):
+    """The matched test's level is the gap rule's per-pair level, C1 included, so its
+    sum-scale boundary a * sum_scale is the rule's G."""
+    spec = replace(gap_spec(alpha=1e-4), rule=GapRuleSpec(m=2, c1_adjust=c1))
+    cfg = matched_sprt_config(spec)
+    G = montecarlo.calibrated_rule(spec).G
+    assert cfg.a * cfg.sum_scale == pytest.approx(G, rel=1e-12)
+    assert cfg.gamma == pytest.approx(1e-4 / c1 / 4, rel=1e-12)  # min(alpha, beta) / C1 / (m*(K-m))
 
 
 def test_benchmark_requires_gap_rule():

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from reference import walk_exact, walk_law
+import seqgap.montecarlo as montecarlo
 from seqgap.montecarlo import sprt_error_mc
 from seqgap.rules import calibrate_gap
 from seqgap.sprt import (
     ACCEPT_H0,
     REJECT_H0,
     SprtConfig,
-    SprtResult,
+    TrialResult,
     asn_asymptotic,
     asn_wald,
     run_sprt,
@@ -71,8 +72,8 @@ def test_one_sided_never_accepts():
 
 
 def assert_result(result, stopping_time, rejected):
-    """``result`` is a SprtResult with these fields; ``rejected`` is compared by identity."""
-    assert type(result) is SprtResult
+    """``result`` is a TrialResult with these fields; ``rejected`` is compared by identity."""
+    assert type(result) is TrialResult
     assert result.stopping_time == stopping_time
     assert result.rejected is rejected
 
@@ -93,6 +94,11 @@ def test_step_decides_at_exact_equality_with_each_threshold(delta):
     # run_sprt steps with the same thresholds
     assert_result(run_sprt(cfg, [upper], horizon_cap=5), 1, REJECT_H0)
     assert_result(run_sprt(cfg, [math.nextafter(upper, 0.0)], horizon_cap=5), 1, None)
+
+
+def test_a_run_and_a_rule_trial_share_one_outcome_type():
+    assert montecarlo.TrialResult is TrialResult
+    assert TrialResult._fields == ("stopping_time", "rejected")
 
 
 def _rebuilt_config(how, want):
