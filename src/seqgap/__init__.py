@@ -14,31 +14,33 @@ imported from its submodule (``seqgap.model``, ``seqgap.rules``,
 ``seqgap.montecarlo``, ``seqgap.metrics``, ``seqgap.sprt``,
 ``seqgap.config``), each of which lists its public names in ``__all__``.
 
-Importing the package loads no numpy: ``run_experiment`` is resolved from
-``seqgap.montecarlo``, the engine, on first access.
+Importing the package loads no submodule but ``_version``: each name of
+``_NAMES`` is imported from its submodule on first access, so reading
+``run_experiment`` is what loads the engine, and numpy with it.
 """
 
-from ._version import __version__
-from .config import ConfigError, ExperimentSpec, load_config
-from .model import ModelParams
-from .rules import GapRuleSpec, GiRuleSpec, MaxGapRuleSpec
+from importlib import import_module
 
-__all__ = [
-    "__version__",
-    "ConfigError",
-    "ExperimentSpec",
-    "GapRuleSpec",
-    "GiRuleSpec",
-    "MaxGapRuleSpec",
-    "ModelParams",
-    "load_config",
-    "run_experiment",
-]
+from ._version import __version__
+
+# Namespace name -> the submodule that defines it.
+_NAMES = {
+    "ConfigError": "config",
+    "ExperimentSpec": "config",
+    "load_config": "config",
+    "ModelParams": "model",
+    "GapRuleSpec": "rules",
+    "GiRuleSpec": "rules",
+    "MaxGapRuleSpec": "rules",
+    "run_experiment": "montecarlo",
+}
+
+__all__ = ["__version__", *_NAMES]
 
 
 def __getattr__(name: str):
-    if name == "run_experiment":
-        from .montecarlo import run_experiment
-
-        return run_experiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_NAMES[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value

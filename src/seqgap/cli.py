@@ -242,6 +242,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     parsed = _load_with_overrides(args)
+    if args.trial_dump == "":  # it would resolve to the working directory, as an empty output.path
+        raise ConfigError("--trial-dump must not be empty")
     from .montecarlo import run_experiment_with_trials  # the engine: numpy loads only now
 
     with _staged_outputs(parsed.out_path, args.trial_dump) as (out, dump):

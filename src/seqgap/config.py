@@ -4,10 +4,16 @@ Parsing is strict: unknown keys anywhere in the document are errors, as are
 missing required sections.  This is deliberate; a typo like "replciations"
 silently falling back to a default would poison a study.
 
+A section's keys are the fields of the spec it sets (``_SECTIONS``, and
+for the rule its kind's class in ``RULE_KINDS``); a key is required unless
+its field has a default.
+
 ``resolved_config_dict`` echoes the parsed config with static defaults
-filled in (signal set, rule variant, multiplicity budget, output format).
-Parsing that echo reconstructs the identical experiment, and the echo is
-embedded in every report so a result file alone suffices to rerun it.
+filled in (signal set, rule variant, multiplicity budget, output format),
+each section's fields in order.  A key whose value is None is not echoed,
+so an optional key that a config omits (``mc.horizon_cap``) changes no
+report.  Parsing that echo reconstructs the identical experiment, and the
+echo is embedded in every report so a result file alone suffices to rerun it.
 
 This module also owns the spec layer that the harness runs:
 ``ExperimentSpec``, its checks (``_run_horizon``), ``calibrated_rule``,
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Literal, Sequence
 
 from .model import ModelParams
@@ -261,20 +267,35 @@ def _as_str(value, context: str) -> str:
     return value
 
 
-def _parse_c1(rule: dict, K: int, context: str) -> float:
-    has_adjust = "c1_adjust" in rule
-    has_metric = "target_metric" in rule
-    if has_adjust and has_metric:
-        raise ConfigError(f"{context}: c1_adjust and target_metric are mutually exclusive")
-    if has_metric:
-        return c1_for_target_metric(_as_str(rule["target_metric"], f"{context}.target_metric"), K)
-    if has_adjust:
-        return _as_float(rule["c1_adjust"], f"{context}.c1_adjust")
-    return 1.0
+# Spec field annotation -> value parser.
+_FIELD_PARSERS = {
+    "int": _as_int, "int | None": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool,
+}
+
+# Config section -> the spec fields that its keys set, in echo order.
+_SECTIONS = {
+    "model": fields(ModelParams),
+    "targets": tuple(f for f in fields(ExperimentSpec) if f.name in ("alpha", "beta")),
+    "mc": tuple(
+        f for f in fields(ExperimentSpec) if f.name in ("replications", "master_seed", "horizon_cap")
+    ),
+}
 
 
-# Rule-spec field annotation -> value parser.
-_FIELD_PARSERS = {"int": _as_int, "float": _as_float, "str": _as_str, "bool": _as_bool}
+def _read_fields(section: dict, context: str, spec_fields, explicit=(), extra=()) -> dict:
+    """The values that a config section gives its spec fields, each parsed by its annotation.
+
+    A key that names no field, nor one of ``extra``, is refused, and a field
+    without a default is required.  The fields named in ``explicit`` are
+    allowed but left to the caller.
+    """
+    _check_keys(section, {f.name for f in spec_fields} | set(extra), context)
+    values = {}
+    for f in spec_fields:
+        if f.name not in explicit and (f.name in section or f.default is MISSING):
+            value = _require(section, f.name, context)
+            values[f.name] = _FIELD_PARSERS[f.type](value, f"{context}.{f.name}")
+    return values
 
 
 def _parse_rule(rule: dict, K: int) -> RuleSpec:
@@ -284,16 +305,14 @@ def _parse_rule(rule: dict, K: int) -> RuleSpec:
             f"rule.kind must be one of {', '.join(map(repr, RULE_KINDS))}, got {kind!r}"
         )
     spec_fields = fields(RULE_KINDS[kind])
-    allowed = {"kind"} | {f.name for f in spec_fields}
-    if "c1_adjust" in allowed:
-        allowed.add("target_metric")
-    _check_keys(rule, allowed, "rule")
-    values = {}
-    for f in spec_fields:
-        if f.name == "c1_adjust":
-            values[f.name] = _parse_c1(rule, K, "rule")
-        elif f.name in rule or f.default is MISSING:
-            values[f.name] = _FIELD_PARSERS[f.type](_require(rule, f.name, "rule"), f"rule.{f.name}")
+    # target_metric names an error metric whose multiplicity budget C1 sets c1_adjust
+    extra = ("kind", "target_metric") if "c1_adjust" in {f.name for f in spec_fields} else ("kind",)
+    values = _read_fields(rule, "rule", spec_fields, extra=extra)
+    if "target_metric" in rule:
+        if "c1_adjust" in rule:
+            raise ConfigError("rule: c1_adjust and target_metric are mutually exclusive")
+        metric = _as_str(rule["target_metric"], "rule.target_metric")
+        values["c1_adjust"] = c1_for_target_metric(metric, K)
     if "variant" in values and values["variant"] not in MAXGAP_VARIANTS:
         raise ConfigError(
             f"rule.variant must be one of {', '.join(MAXGAP_VARIANTS)}, got {values['variant']!r}"
@@ -318,26 +337,20 @@ def _parse_signal_set(model: dict, rule: RuleSpec) -> frozenset[int]:
     return default
 
 
+def _section(doc: dict, name: str) -> dict:
+    return _as_section(_require(doc, name, "config"), name)
+
+
 def parse_config_dict(doc: dict) -> ParsedConfig:
     doc = _as_section(doc, "config")
-    _check_keys(doc, {"model", "rule", "targets", "mc", "output", "sweep"}, "config")
+    _check_keys(doc, {"rule", *_SECTIONS, "output", "sweep"}, "config")
 
-    model = _as_section(_require(doc, "model", "config"), "model")
-    _check_keys(model, {"K", "rho", "mu", "signal_set"}, "model")
-    K = _as_int(_require(model, "K", "model"), "model.K")
-
-    rule = _parse_rule(_as_section(_require(doc, "rule", "config"), "rule"), K)
-
-    targets = _as_section(_require(doc, "targets", "config"), "targets")
-    _check_keys(targets, {"alpha", "beta"}, "targets")
-    alpha = _as_float(_require(targets, "alpha", "targets"), "targets.alpha")
-    beta = _as_float(_require(targets, "beta", "targets"), "targets.beta")
-
-    mc = _as_section(_require(doc, "mc", "config"), "mc")
-    _check_keys(mc, {"replications", "master_seed", "horizon_cap"}, "mc")
-    horizon_cap = None
-    if "horizon_cap" in mc:
-        horizon_cap = _as_int(mc["horizon_cap"], "mc.horizon_cap")
+    model = _section(doc, "model")
+    params = _read_fields(model, "model", _SECTIONS["model"], explicit=("signal_set",))
+    rule = _parse_rule(_section(doc, "rule"), params["K"])
+    run = {}  # the ExperimentSpec fields of the targets and mc sections
+    for name in ("targets", "mc"):
+        run.update(_read_fields(_section(doc, name), name, _SECTIONS[name]))
 
     out_path = None
     out_format = "csv"
@@ -346,6 +359,8 @@ def parse_config_dict(doc: dict) -> ParsedConfig:
         _check_keys(output, {"path", "format"}, "output")
         if "path" in output:
             out_path = _as_str(output["path"], "output.path")
+            if not out_path:  # it would resolve to the working directory
+                raise ConfigError("output.path must not be empty")
         if "format" in output:
             out_format = _as_str(output["format"], "output.format")
             if out_format not in FORMATS:
@@ -366,32 +381,13 @@ def parse_config_dict(doc: dict) -> ParsedConfig:
         sweep_grid = tuple(_as_float(v, f"sweep.{key} entry") for v in raw)
 
     try:
-        params = ModelParams(
-            K=K,
-            rho=_as_float(_require(model, "rho", "model"), "model.rho"),
-            mu=_as_float(_require(model, "mu", "model"), "model.mu"),
-            signal_set=_parse_signal_set(model, rule),
-        )
-        spec = ExperimentSpec(
-            params=params,
-            rule=rule,
-            alpha=alpha,
-            beta=beta,
-            replications=_as_int(_require(mc, "replications", "mc"), "mc.replications"),
-            master_seed=_as_int(_require(mc, "master_seed", "mc"), "mc.master_seed"),
-            horizon_cap=horizon_cap,
-        )
+        params["signal_set"] = _parse_signal_set(model, rule)
+        spec = ExperimentSpec(params=ModelParams(**params), rule=rule, **run)
         if sweep_kind is not None:  # every grid point, before any of them runs
             sweep_specs(spec, sweep_kind, sweep_grid)
     except ValueError as exc:  # reject with the model/rule diagnostic attached
         raise ConfigError(str(exc)) from exc
-    return ParsedConfig(
-        spec=spec,
-        out_path=out_path,
-        out_format=out_format,
-        sweep_kind=sweep_kind,
-        sweep_grid=sweep_grid,
-    )
+    return ParsedConfig(spec, out_path, out_format, sweep_kind, sweep_grid)
 
 
 def _reject_constant(name: str):
@@ -426,37 +422,34 @@ def load_config(path: str) -> ParsedConfig:
     return parse_config_dict(read_config(path))
 
 
+def _echo(obj, spec_fields) -> dict:
+    """``obj``'s values of ``spec_fields`` in order, a frozenset as a sorted list; a field whose
+    value is None is left out, so an optional key that a config omits is not echoed."""
+    values = ((f.name, getattr(obj, f.name)) for f in spec_fields)
+    return {k: sorted(v) if isinstance(v, frozenset) else v for k, v in values if v is not None}
+
+
 def rule_dict(rule: RuleSpec) -> dict:
     """Canonical JSON-compatible form of a rule spec: the kind, then its fields in order."""
-    return {"kind": rule.kind, **asdict(rule)}
+    return {"kind": rule.kind, **_echo(rule, fields(rule))}
 
 
 def spec_dict(spec: ExperimentSpec) -> dict:
-    """Canonical dict of a spec: model, rule, targets, then mc, whose
-    horizon_cap appears only when the spec sets one."""
-    mc = {"replications": spec.replications, "master_seed": spec.master_seed}
-    if spec.horizon_cap is not None:
-        mc["horizon_cap"] = spec.horizon_cap
+    """Canonical dict of a spec: model, rule, targets, then mc, each section's fields echoed
+    in order."""
     return {
-        "model": {
-            "K": spec.params.K,
-            "rho": spec.params.rho,
-            "mu": spec.params.mu,
-            "signal_set": sorted(spec.params.signal_set),
-        },
+        "model": _echo(spec.params, _SECTIONS["model"]),
         "rule": rule_dict(spec.rule),
-        "targets": {"alpha": spec.alpha, "beta": spec.beta},
-        "mc": mc,
+        "targets": _echo(spec, _SECTIONS["targets"]),
+        "mc": _echo(spec, _SECTIONS["mc"]),
     }
 
 
 def resolved_config_dict(parsed: ParsedConfig) -> dict:
     """Canonical dict equivalent to the parsed config; parses back losslessly."""
     doc = spec_dict(parsed.spec)
-    output = {"format": parsed.out_format}
-    if parsed.out_path is not None:
-        output = {"path": parsed.out_path, "format": parsed.out_format}
-    doc["output"] = output
+    output = {"path": parsed.out_path, "format": parsed.out_format}
+    doc["output"] = {key: value for key, value in output.items() if value is not None}
     if parsed.sweep_kind is not None:
         assert parsed.sweep_grid is not None
         doc["sweep"] = {f"{parsed.sweep_kind}_grid": list(parsed.sweep_grid)}

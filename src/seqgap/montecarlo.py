@@ -288,9 +288,7 @@ def _run_all_trials(spec: ExperimentSpec, workers: int) -> TrialColumns:
     Each of the N - 1 workers has a pipe of its own, which breaks only when it dies, and two chunk
     starts in flight, one running and one queued, so that it starts its next chunk without waiting
     for this process to end one.  This process hands out the starts, lowest first, and after each
-    of its own chunks takes back the results ready and refills each worker that sent one.  On
-    ``gi-k10-parallel`` at 2 CPUs that read 11.47k trials/s against 11.34k for a pool refilled from
-    its futures' callbacks (10 alternating pairs, 5 faster; the pool's quartiles 10.83k-11.89k).
+    of its own chunks takes back the results ready and refills each worker that sent one.
     A failed chunk, a dead worker or an interrupt ends the run, and every exit kills the workers.
     """
     if workers < 1:

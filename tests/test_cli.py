@@ -11,7 +11,7 @@ import stat
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ import seqgap.cli as cli
 import seqgap.montecarlo as montecarlo
 from seqgap.cli import SCHEMA, TRIAL_DUMP_SCHEMA, main, summary_row, write_report_csv
 from seqgap.config import (
+    _SECTIONS,
     ConfigError,
     c1_for_target_metric,
     load_config,
@@ -223,6 +224,65 @@ def test_config_rejects_non_finite_duplicate_and_extreme_values(tmp_path, capsys
         assert capsys.readouterr().err == f"error: {info.value}\n"
     assert "\n" not in str(info.value)
     assert not (tmp_path / "r.csv").exists()
+
+
+# Each key that the reader parses from a spec field, with the rule kind of a config that may set it.
+_FIELD_KEYS = [
+    pytest.param(section, f, "gap", id=f"{section}.{f.name}")
+    for section, spec_fields in _SECTIONS.items()
+    for f in spec_fields
+] + [
+    pytest.param("rule", f, kind, id=f"rule.{f.name}-{kind}")
+    for kind, spec_class in RULE_KINDS.items()
+    for f in fields(spec_class)
+]
+
+
+def _example_config(kind):
+    """A config of ``kind`` that parses; its gap rule sets c1_adjust itself, not by target_metric."""
+    model, rule = RULE_EXAMPLES[kind]
+    return base_config(model=dict(model), rule={key: value for key, value in rule.items()
+                                                if key != "target_metric"})
+
+
+# What a wrong-typed value of each field annotation must be.
+_MUST_BE = {"int": "an integer", "int | None": "an integer", "float": "a number", "str": "a string",
+            "bool": "true or false", "frozenset[int]": "a list of stream indices"}
+
+
+@pytest.mark.parametrize("section, field, kind", _FIELD_KEYS)
+def test_a_wrong_typed_key_is_one_line_naming_it(tmp_path, capsys, section, field, kind):
+    doc = _example_config(kind)
+    doc[section][field.name] = {}
+    assert run_cli(["calibrate", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr() == ("", f"error: {section}.{field.name} must be {_MUST_BE[field.type]}, got {{}}\n")
+
+
+@pytest.mark.parametrize("section, field, kind", [
+    # signal_set is the one field without a default that a config may leave out: the rule gives it
+    param for param in _FIELD_KEYS if param.values[1].default is MISSING and param.values[1].name != "signal_set"
+])
+def test_a_key_without_a_default_is_required(tmp_path, capsys, section, field, kind):
+    doc = _example_config(kind)
+    del doc[section][field.name]
+    assert run_cli(["calibrate", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr() == ("", f"error: missing required key {field.name!r} in {section}\n")
+
+
+@pytest.mark.parametrize("horizon_cap", [None, 500])
+def test_a_none_horizon_cap_is_not_echoed(tmp_path, horizon_cap):
+    doc = base_config()
+    if horizon_cap is not None:
+        doc["mc"]["horizon_cap"] = horizon_cap
+    parsed = parse_config_dict(doc)
+    assert parsed.spec.horizon_cap == horizon_cap
+    assert ("horizon_cap" in resolved_config_dict(parsed)["mc"]) == (horizon_cap is not None)
+    report = tmp_path / "r.csv"
+    assert run_cli(["simulate", "--config", write_config(tmp_path, doc), "--out", report, "--reps", 20]) == 0
+    meta, rows = read_report_csv(report)
+    echoed = json.loads(meta.split(" config=", 1)[1])["mc"]
+    assert echoed == {"replications": 20, "master_seed": 2024, **({} if horizon_cap is None else {"horizon_cap": 500})}
+    assert rows[0]["horizon_cap"] == str(horizon_cap or 1000)
 
 
 # ------------------------------------------------------------ report rows
@@ -747,6 +807,35 @@ def test_unwritable_output_fails_before_the_run(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["csv", "json"])
+@pytest.mark.parametrize("by", ["flag", "file"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_an_empty_output_path_is_refused_before_the_run(tmp_path, monkeypatch, capsys, command, by, fmt):
+    """An empty path would resolve to the working directory: one line and exit 1, not a run that
+    ends in an I/O error naming a temporary file in the directory above."""
+    monkeypatch.setattr(montecarlo, "_run_all_trials", _refuse_to_run)
+    doc = base_config(sweep={"alpha_grid": [1e-2]})
+    if by == "file":
+        doc["output"] = {"path": ""}
+    cfg = write_config(tmp_path, doc)
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    out = ["--out", ""] if by == "flag" else []
+    assert run_cli([command, "--config", cfg, *out, *fmt]) == 1
+    assert capsys.readouterr() == ("", "error: output.path must not be empty\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "work"]
+
+
+def test_an_empty_trial_dump_path_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(montecarlo, "_run_all_trials", _refuse_to_run)
+    cfg = write_config(tmp_path, base_config())
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert run_cli(["simulate", "--config", cfg, "--out", "r.csv", "--trial-dump", ""]) == 1
+    assert capsys.readouterr() == ("", "error: --trial-dump must not be empty\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "work"]
+
+
 def test_outputs_resolving_to_one_file_are_refused(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(montecarlo, "run_experiment_with_trials", _refuse_to_run)
     cfg = write_config(tmp_path, base_config())
@@ -805,12 +894,34 @@ def test_readme_library_import_line():
     exec(line, {})
 
 
+def _refuses_key(section: str, key: str) -> bool:
+    """Whether the parser refuses ``section.key`` as an unknown key in every rule kind's config."""
+    for kind in RULE_KINDS:
+        doc = _example_config(kind)
+        doc.setdefault(section, {})[key] = 0
+        try:
+            parse_config_dict(doc)
+        except ConfigError as exc:
+            if str(exc).startswith(f"unknown key(s) in {section}:"):
+                continue
+        return False
+    return True
+
+
 def test_the_readme_config_and_flags_are_the_programs():
-    """The README's JSON config parses; every flag that its CLI section names is an option of a
-    command, and every ``seqgap`` command line in it parses."""
+    """The README's JSON config parses, and it names every config key that the parser accepts
+    and none that it refuses; every flag that its CLI section names is an option of a command,
+    and every ``seqgap`` command line in it parses."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     parse_config_dict(json.loads(re.search(r"```json\n(.*?)```", cli_section, re.S).group(1)))
+    accepted = {f"{section}.{f.name}" for section, spec_fields in _SECTIONS.items() for f in spec_fields}
+    accepted |= {f"rule.{f.name}" for spec_class in RULE_KINDS.values() for f in fields(spec_class)}
+    accepted |= {"rule.kind", "rule.target_metric", "output.path", "output.format",
+                 "sweep.alpha_grid", "sweep.rho_grid"}
+    keys = set(re.findall(r"(?<=`)(?:model|rule|targets|mc|output|sweep)\.\w+(?=`)", readme))
+    assert accepted <= keys, accepted - keys
+    assert not [key for key in accepted | keys if _refuses_key(*key.split("."))]
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
     assert set(commands) == {"calibrate", "simulate", "sweep", "sprt-asn"}
@@ -1023,6 +1134,22 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
     for name in mod.__all__:
         assert hasattr(mod, name), f"{module}.__all__ names {name!r}, which is not defined"
+
+
+def test_import_seqgap_loads_each_name_from_its_submodule_on_first_access(tmp_path):
+    """``import seqgap`` loads no submodule; each namespace name is its defining submodule's
+    object, and reading one loads that submodule alone."""
+    listing = "print(sorted(m for m in sys.modules if m.startswith('seqgap')))"
+    assert _python(tmp_path, f"import sys, seqgap\n{listing}") == (0, "['seqgap', 'seqgap._version']\n", "")
+    code = f"import sys\nfrom seqgap import ModelParams\n{listing}"
+    assert _python(tmp_path, code) == (0, "['seqgap', 'seqgap._version', 'seqgap.model']\n", "")
+    assert seqgap.__all__[0] == "__version__"
+    for name in seqgap.__all__[1:]:
+        value = getattr(seqgap, name)
+        assert value.__module__.startswith("seqgap.")
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    with pytest.raises(AttributeError, match="has no attribute 'config_error'"):
+        seqgap.config_error
 
 
 def test_every_module_parses_at_the_python_floor():
