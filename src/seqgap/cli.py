@@ -157,7 +157,7 @@ def write_trial_dump(out: TextIO, trials: TrialColumns) -> None:
 
 
 @contextlib.contextmanager
-def _staged_outputs(*paths: str | None):
+def _staged_outputs(config: str, *paths: str | None):
     """Yield one writable file per path, stdout where the path is None.
 
     Each file is a temporary one in its destination's directory, created
@@ -167,12 +167,16 @@ def _staged_outputs(*paths: str | None):
     command leaves none of its outputs behind.  A destination that exists
     but is not a regular file (a pipe, or a device such as /dev/stdout)
     cannot be replaced and is written directly.  Two paths that resolve
-    to the same file are refused before any file is created.
+    to the same file, or a path that resolves to the ``config`` file the
+    run reads, are refused before any file is created.
     """
     dests = [os.path.realpath(path) for path in paths if path is not None]
+    config = os.path.realpath(config)
     for dest in dests:
         if dests.count(dest) > 1:
             raise ValueError(f"two outputs resolve to the same file: {dest}")
+        if dest == config:
+            raise ValueError(f"an output resolves to the config file: {dest}")
     staged = []  # (temp path or None, destination, file)
     try:
         for i, path in enumerate(paths):
@@ -246,7 +250,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("--trial-dump must not be empty")
     from .montecarlo import run_experiment_with_trials  # the engine: numpy loads only now
 
-    with _staged_outputs(parsed.out_path, args.trial_dump) as (out, dump):
+    with _staged_outputs(args.config, parsed.out_path, args.trial_dump) as (out, dump):
         summary, trials = run_experiment_with_trials(parsed.spec, workers=args.workers)
         _emit(parsed, [summary_row(parsed.spec, summary)], out)
         if args.trial_dump is not None:
@@ -261,7 +265,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     assert parsed.sweep_grid is not None
     from .montecarlo import sweep  # the engine: numpy loads only now
 
-    with _staged_outputs(parsed.out_path) as (out,):
+    with _staged_outputs(args.config, parsed.out_path) as (out,):
         points = sweep(parsed.spec, parsed.sweep_kind, parsed.sweep_grid, workers=args.workers)
         _emit(parsed, [summary_row(pt.spec, pt.summary) for pt in points], out)
     return 0 if all(pt.summary.reliable for pt in points) else 2

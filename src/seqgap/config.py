@@ -320,7 +320,7 @@ def _parse_rule(rule: dict, K: int) -> RuleSpec:
     return RULE_KINDS[kind](**values)
 
 
-def _parse_signal_set(model: dict, rule: RuleSpec) -> frozenset[int]:
+def _parse_signal_set(model: dict, rule: RuleSpec, K: int) -> frozenset[int]:
     if "signal_set" in model:
         raw = model["signal_set"]
         if not isinstance(raw, list):
@@ -331,7 +331,7 @@ def _parse_signal_set(model: dict, rule: RuleSpec) -> frozenset[int]:
                 raise ConfigError(f"model.signal_set repeats stream index {index}")
             seen.add(index)
         return frozenset(seen)
-    default = rule.default_signal_set()
+    default = rule.default_signal_set(K)
     if default is None:
         raise ConfigError(f"model.signal_set is required for rule kind {rule.kind!r}")
     return default
@@ -381,7 +381,7 @@ def parse_config_dict(doc: dict) -> ParsedConfig:
         sweep_grid = tuple(_as_float(v, f"sweep.{key} entry") for v in raw)
 
     try:
-        params["signal_set"] = _parse_signal_set(model, rule)
+        params["signal_set"] = _parse_signal_set(model, rule, params["K"])
         spec = ExperimentSpec(params=ModelParams(**params), rule=rule, **run)
         if sweep_kind is not None:  # every grid point, before any of them runs
             sweep_specs(spec, sweep_kind, sweep_grid)

@@ -32,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from operator import sub
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable, ClassVar, Sequence
 
 from .model import ModelParams, SufficientStats, llr_star
 
@@ -122,15 +122,17 @@ def calibrate_gap(
     return GapRuleConfig(m=m, c=c, G=G)
 
 
-def _top_streams(sums: tuple[float, ...], cut: float) -> frozenset[int]:
-    """The streams whose sum is at least ``cut``.
+def _top_streams(values: Sequence[float], cut: float) -> frozenset[int]:
+    """The streams whose value is at least ``cut``: every stop's rejected set.
 
-    Called on a stop, where ``cut`` is the smallest of the top group and a
-    strictly positive gap separates it from the rest: no tie, and no 0.0
-    beside a -0.0, can straddle that gap, so these are exactly the top
-    streams of the tie rule (sum descending, ties by ascending stream).
+    ``gap_rule_step`` and ``maxgap_rule_step`` call it on the sums and
+    ``gi_rule_step`` on the llrs, each with ``cut`` the smallest of the top
+    group.  Each threshold config checks its thresholds are positive, so a
+    strictly positive gap separates that group from the rest: no tie, and
+    no 0.0 beside a -0.0, can straddle it, so these are exactly the top
+    streams of the tie rule (value descending, ties by ascending stream).
     """
-    return frozenset(i for i, s in enumerate(sums, 1) if s >= cut)
+    return frozenset(i for i, v in enumerate(values, 1) if v >= cut)
 
 
 def gap_rule_step(stats: SufficientStats, cfg: GapRuleConfig) -> frozenset[int] | None:
@@ -285,8 +287,7 @@ def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> frozenset[int] | None:
     The llrs are sorted once, ascending and without a key, so lam(j) is
     ``ascending[K - j]`` and p is K minus the count of llrs <= 0.0.  Equal
     llrs can only differ in the sign of a zero, which no comparison
-    against the positive thresholds can tell apart.  The stream order,
-    descending llr with ties by ascending stream, is built only on a stop.
+    against the positive thresholds can tell apart.
     """
     K = len(llrs)
     l, u = cfg.l, cfg.u
@@ -301,9 +302,7 @@ def gi_rule_step(llrs: list[float], cfg: GIRuleConfig) -> frozenset[int] | None:
 
     if not (tau1 or tau2 or tau3):
         return None
-    order = sorted(range(K), key=llrs.__getitem__, reverse=True)  # stable: ties by stream
-    p_prime = min(max(p, l), u)
-    return frozenset(order[i] + 1 for i in range(p_prime))
+    return _top_streams(llrs, ascending[K - min(max(p, l), u)])
 
 
 # A stepper is a (function, argument) pair: the trial loop calls
@@ -351,10 +350,10 @@ class GapRuleSpec:
                 f"gap rule assumes exactly m={self.m} signals, signal_set has {n_signals}"
             )
 
-    def default_signal_set(self) -> frozenset[int] | None:
+    def default_signal_set(self, K: int) -> frozenset[int] | None:
         """Signal set used when a config names none (None: one is required)."""
-        # canonical choice; exchangeability makes the labels immaterial
-        return frozenset(range(1, self.m + 1))
+        # canonical choice; exchangeability makes the labels immaterial; an m > K fails ``check``
+        return frozenset(range(1, min(self.m, K) + 1))
 
     def calibrate(self, params: ModelParams, alpha: float, beta: float) -> GapRuleConfig:
         return calibrate_gap(self.m, params.K, alpha, beta, params.rho, params.mu, self.c1_adjust)
@@ -385,7 +384,7 @@ class MaxGapRuleSpec:
         """Reject a model the rule's assumptions do not cover."""
         _check_count_bounds(self.l, self.u, params)
 
-    def default_signal_set(self) -> frozenset[int] | None:
+    def default_signal_set(self, K: int) -> frozenset[int] | None:
         """Signal set used when a config names none (None: one is required)."""
         return None
 
@@ -426,7 +425,7 @@ class GiRuleSpec:
         if params.rho > 0.0 and not self.experimental_correlated:
             raise ValueError(GI_CORRELATED_UNSUPPORTED)
 
-    def default_signal_set(self) -> frozenset[int] | None:
+    def default_signal_set(self, K: int) -> frozenset[int] | None:
         """Signal set used when a config names none (None: one is required)."""
         return None
 

@@ -60,6 +60,21 @@ def test_parse_minimal_gap_config():
     assert parsed.out_path is None
 
 
+@pytest.mark.parametrize("m, message", [
+    (5, "gap rule assumes exactly m=5 signals, signal_set has 4"),
+    (10**6, "gap rule assumes exactly m=1000000 signals, signal_set has 4"),
+    (4, "m must be in 1..3, got 4"),
+])
+def test_a_gap_m_out_of_range_fails_in_one_line(tmp_path, capsys, m, message):
+    """The default signal set stops at K, so the rule's own checks judge m before m streams exist.
+
+    m = 10**8 runs in ``test_tooling.py``, under a memory cap: built first, it would take gigabytes.
+    """
+    cfg = write_config(tmp_path, base_config(rule={"kind": "gap", "m": m}))
+    assert run_cli(["calibrate", "--config", cfg]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_roundtrip_through_resolved_dict():
     docs = [
         base_config(),
@@ -850,6 +865,30 @@ def test_outputs_resolving_to_one_file_are_refused(tmp_path, monkeypatch, capsys
         assert err == f"error: two outputs resolve to the same file: {os.path.realpath(report)}\n"
     assert report.read_text() == "earlier report\n"
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "link.csv", "r.csv", "t"]
+
+
+@pytest.mark.parametrize("route", ["simulate --out", "--trial-dump", "output.path", "sweep --out"])
+def test_no_output_may_replace_the_config(tmp_path, monkeypatch, capsys, route):
+    """A report or dump written over the config would leave a file the next run cannot read."""
+    monkeypatch.setattr(montecarlo, "_run_all_trials", _refuse_to_run)
+    doc = base_config(sweep={"alpha_grid": [1e-2]})
+    if route == "output.path":
+        doc["output"] = {"path": "run.json"}  # relative: it resolves from the working directory
+    cfg = write_config(tmp_path, doc, name="run.json")
+    before = Path(cfg).read_bytes()
+    monkeypatch.chdir(tmp_path)
+    argv = {
+        "simulate --out": ["simulate", "--out", cfg],
+        "--trial-dump": ["simulate", "--out", "r.csv", "--trial-dump", tmp_path / "." / "run.json"],
+        "output.path": ["simulate"],
+        "sweep --out": ["sweep", "--out", cfg],
+    }[route]
+    assert run_cli([argv[0], "--config", cfg, *argv[1:]]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: an output resolves to the config file: {os.path.realpath(cfg)}\n"
+    )
+    assert Path(cfg).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_failed_run_leaves_no_outputs(tmp_path, monkeypatch):

@@ -224,9 +224,9 @@ def test_update_stats_matches_elementwise_sums(values, n, kind, data):
 
 
 @pytest.mark.parametrize("stop", [False, True])
-@pytest.mark.parametrize("rule", ["gap", "maxgap"])
+@pytest.mark.parametrize("rule", ["gap", "maxgap", "gi"])
 def test_one_ordering_per_step(monkeypatch, rule, stop):
-    """One bare sort per step, stop or not."""
+    """One bare sort per step, stop or not: a stop reads its rejected set from the cut."""
     sorts = []
 
     def counting_sorted(*args, **kwargs):
@@ -237,13 +237,18 @@ def test_one_ordering_per_step(monkeypatch, rule, stop):
     monkeypatch.setattr(rules, "sorted", counting_sorted, raising=False)
     stats = 1, (5.0, 4.0, 1.0, 0.0, -1.0)  # gaps 1, 3, 1, 1
     level = 2.0 if stop else 10.0
+    top = frozenset({1, 2})
     if rule == "gap":
         cfg = GapRuleConfig(m=2, c=1.0, G=level)
         rejected = gap_rule_step(stats, cfg)
-    else:
+    elif rule == "maxgap":
         cfg = MaxGapRuleConfig(l=1, u=4, base=level, slope=0.0)
         rejected = maxgap_rule_step(stats, cfg)
-    assert rejected == (frozenset({1, 2}) if stop else None)
+    else:  # tau3 alone: lam(3) == b, and lam(3) - lam(4) == 3.0 reaches d only when stopping
+        cfg = GIRuleConfig(l=1, u=3, a=1e3, b=2.0, c=1e3, d=3.0 if stop else 10.0)
+        rejected = gi_rule_step([4.0, 3.0, 2.0, -1.0, -2.0], cfg)
+        top = frozenset({1, 2, 3})
+    assert rejected == (top if stop else None)
     assert len(sorts) == 1
 
 
@@ -294,10 +299,19 @@ def test_permuting_streams_permutes_gap_and_maxgap_rejections(values, data):
     _same_up_to(rename, maxgap_rule_step(stats, maxgap_cfg), maxgap_rule_step(moved_stats, maxgap_cfg))
 
 
-@given(gi_cases().filter(lambda case: len(set(case[0])) == len(case[0])), st.data())
-def test_permuting_streams_permutes_gi_rejections(case, data):
-    llrs, cfg = case
-    moved, rename = _permuted(llrs, data.draw(st.permutations(range(len(llrs)))))
+@st.composite
+def permuted_gi_cases(draw):
+    """A GI case, ties and signed zeros included, and a permutation of its streams."""
+    llrs, cfg = draw(gi_cases())
+    return llrs, cfg, draw(st.permutations(range(len(llrs))))
+
+
+@given(permuted_gi_cases())
+# tau3 stops on {1, 2}: a tie inside the top group, 0.0 beside -0.0 below the cut
+@example(([3.0, 3.0, -0.0, 0.0, -2.0], GIRuleConfig(l=1, u=2, a=1e3, b=2.0, c=1e3, d=3.0), [4, 3, 1, 0, 2]))
+def test_permuting_streams_permutes_gi_rejections(case):
+    llrs, cfg, perm = case
+    moved, rename = _permuted(llrs, perm)
     _same_up_to(rename, gi_rule_step(llrs, cfg), gi_rule_step(moved, cfg))
 
 
